@@ -130,20 +130,46 @@ def _time_wall(fn) -> float:
     return time.perf_counter() - start
 
 
+def _calls_per_call(fn, *args, calls: int = 10) -> int:
+    """Python-level calls one ``fn(*args)`` makes, ``fn`` included, as
+    cProfile counts them.
+
+    Python functions and C builtins each count once; ufunc invocations
+    (``matmul``, ``exp``, in-place arithmetic) are not counted, so this is
+    a floor on the numpy dispatches per call.
+    """
+    import cProfile
+    import pstats
+
+    fn(*args)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for _ in range(calls):
+        fn(*args)
+    profiler.disable()
+    return pstats.Stats(profiler).total_calls // calls
+
+
 def bench_grape_kernel(quick: bool) -> dict:
-    """Per-iteration kernel timing, pre-rewrite vs live, on fixed seeds."""
+    """Per-iteration kernel timing, pre-rewrite vs live, on fixed seeds.
+
+    The ``live`` case is the shape the variational-loop benchmark's GRAPE
+    blocks take (dim 4, 5 controls, 18 steps); the others run long pulses.
+    Each entry also records the Python-level calls one kernel call makes.
+    """
     n_steps = 48 if quick else 120
     repeats = 5 if quick else 7
     inner = 3 if quick else 5
     cases = [
-        ("2q-qubit-dim4", 2, 2),
-        ("2q-qutrit-dim9", 2, 3),
-        ("3q-qutrit-dim27", 3, 3),
+        ("2q-qubit-dim4-live", 2, 2, 18),
+        ("2q-qubit-dim4", 2, 2, n_steps),
+        ("2q-qutrit-dim9", 2, 3, n_steps),
+        ("3q-qutrit-dim27", 3, 3, n_steps),
     ]
     entries = []
     derived: dict = {}
-    for label, n_qubits, levels in cases:
-        cost, controls = kernel_fixture(n_qubits, levels, n_steps)
+    for label, n_qubits, levels, steps in cases:
+        cost, controls = kernel_fixture(n_qubits, levels, steps)
         control_set = cost.control_set
 
         before_out = reference_cost_and_gradient(cost, controls)
@@ -159,29 +185,38 @@ def bench_grape_kernel(quick: bool) -> dict:
                 f"{label}: {deviation:.3e}"
             )
 
-        before_ms = _time_per_call_ms(
-            lambda: reference_cost_and_gradient(cost, controls), repeats, inner
-        )
-        after_ms = _time_per_call_ms(
-            lambda: cost.cost_and_gradient(controls), repeats, inner
-        )
+        # Short pulses are cheap: time more calls per sample.
+        scale = max(1, n_steps // steps)
         shared = {
             "case": label,
             "dim": control_set.dim,
             "n_controls": control_set.num_controls,
-            "n_steps": n_steps,
+            "n_steps": steps,
             "max_abs_deviation": deviation,
         }
-        entries.append(
-            {"name": f"{label}-before", "per_iteration_ms": before_ms, **shared}
-        )
-        entries.append(
-            {"name": f"{label}-after", "per_iteration_ms": after_ms, **shared}
-        )
+        timings = {}
+        for variant, fn, args in (
+            ("before", reference_cost_and_gradient, (cost, controls)),
+            ("after", cost.cost_and_gradient, (controls,)),
+        ):
+            timings[variant] = _time_per_call_ms(
+                lambda: fn(*args), repeats, inner * scale
+            )
+            entries.append(
+                {
+                    "name": f"{label}-{variant}",
+                    "per_iteration_ms": timings[variant],
+                    "calls_per_iteration": _calls_per_call(fn, *args),
+                    **shared,
+                }
+            )
+        before_ms, after_ms = timings["before"], timings["after"]
         derived[f"speedup_{label}"] = round(before_ms / after_ms, 3)
+        derived[f"calls_per_iteration_{label}"] = entries[-1]["calls_per_iteration"]
         print(
             f"  grape_kernel {label}: before {before_ms:.3f} ms, "
-            f"after {after_ms:.3f} ms, speedup {before_ms / after_ms:.2f}x "
+            f"after {after_ms:.3f} ms, speedup {before_ms / after_ms:.2f}x, "
+            f"{entries[-1]['calls_per_iteration']} calls/iteration "
             f"(max deviation {deviation:.2e})"
         )
     derived["headline_speedup"] = derived["speedup_3q-qutrit-dim27"]

@@ -157,8 +157,8 @@ class PipelineConfig:
         ``"process-persistent"`` variants that amortize one long-lived
         pool across every map of a pipeline run.
     max_workers:
-        Worker count for the parallel executors; ``None`` means
-        ``os.cpu_count()``.
+        Worker count for the parallel executors; ``None`` means the CPUs
+        the process may run on (``len(os.sched_getaffinity(0))``).
     cache_dir:
         Directory for the persistent pulse cache.  ``None`` keeps the cache
         purely in memory (the seed behavior); a path makes every GRAPE

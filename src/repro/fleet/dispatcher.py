@@ -61,7 +61,7 @@ class QueueDispatcher(BlockExecutor):
         workers: int = 0,
         lease_ttl_s: float = 30.0,
         heartbeat_s: float | None = None,
-        poll_s: float = 0.05,
+        poll_s: float = 0.005,
         job_timeout_s: float = 600.0,
         autoscale: bool = False,
         min_workers: int = 0,

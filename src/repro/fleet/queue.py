@@ -142,8 +142,14 @@ class FleetQueue:
         return job_id
 
     def consume_result(self, job_id: str) -> dict | None:
-        """Claim-and-remove one completion record, or ``None`` if not done."""
+        """Claim-and-remove one completion record, or ``None`` if not done.
+
+        A missing record — the common case for a dispatcher polling its
+        pending jobs — is answered without taking the queue lock.
+        """
         path = self.results_dir / f"{job_id}.json"
+        if not path.exists():
+            return None
         with self._locked():
             record = _read_json(path)
             if record is None:

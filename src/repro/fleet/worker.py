@@ -186,24 +186,32 @@ class FleetWorker:
         )
 
     def run(self) -> int:
-        """The claim loop; returns a process exit code (0 = clean)."""
+        """The claim loop; returns a process exit code (0 = clean).
+
+        An idle worker polls every ``poll_s`` but rewrites its heartbeat at
+        most once per ``heartbeat_s`` (and once on going idle after a job).
+        """
         self._beat("idle")
-        idle_since = time.monotonic()
+        beat_at = idle_since = time.monotonic()
         while not self._drain.is_set():
             claimed = self.queue.claim(self.worker_id)
             if claimed is None:
+                now = time.monotonic()
                 if (
                     self.idle_exit_s is not None
-                    and time.monotonic() - idle_since >= self.idle_exit_s
+                    and now - idle_since >= self.idle_exit_s
                 ):
                     break
-                self._beat("idle")
+                if beat_at is None or now - beat_at >= self.heartbeat_s:
+                    self._beat("idle")
+                    beat_at = now
                 self._drain.wait(self.poll_s)
                 continue
             job_id, job = claimed
             self._beat(f"compiling:{job_id}")
             self._run_one(job_id, job)
             idle_since = time.monotonic()
+            beat_at = None
             if self.max_jobs is not None and self.jobs_done >= self.max_jobs:
                 break
         self._beat("exited")

@@ -21,11 +21,7 @@ from repro.linalg.operators import (
     pauli_matrix,
 )
 from repro.linalg.expm import expm_hermitian, expm_hermitian_frechet
-from repro.linalg.scan import (
-    backward_partial_products,
-    forward_partial_products,
-    scan_block_size,
-)
+from repro.linalg.scan import forward_partial_products, scan_block_size
 from repro.linalg.unitaries import (
     average_gate_fidelity,
     closest_unitary,
@@ -47,7 +43,6 @@ __all__ = [
     "PAULI_Z",
     "annihilation_operator",
     "average_gate_fidelity",
-    "backward_partial_products",
     "forward_partial_products",
     "scan_block_size",
     "closest_unitary",

@@ -56,9 +56,7 @@ def expm_hermitian_factorized(
     # batched matmul (faster than a 3-operand einsum for stacked inputs).
     # Conjugate the contiguous array and transpose as a view so BLAS takes
     # the transpose flag instead of numpy materializing a strided copy.
-    unitaries = (eigvecs * phases[..., None, :]) @ np.swapaxes(
-        eigvecs.conj(), -1, -2
-    )
+    unitaries = (eigvecs * phases[..., None, :]) @ eigvecs.conj().swapaxes(-1, -2)
     return eigvals, eigvecs, phases, unitaries
 
 
@@ -145,9 +143,5 @@ def _divided_differences(eigvals: np.ndarray, phases: np.ndarray, dt: float) -> 
     gamma /= diff
     # Broadcast f'(λ_i) onto degenerate pairs (exact in the limit λ_i -> λ_j).
     derivative_diag = -1j * dt * phases
-    np.copyto(
-        gamma,
-        np.broadcast_to(derivative_diag[..., :, None], gamma.shape),
-        where=degenerate,
-    )
+    np.copyto(gamma, derivative_diag[..., :, None], where=degenerate)
     return gamma

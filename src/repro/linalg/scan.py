@@ -1,10 +1,11 @@
-"""Blocked prefix-product scans over stacks of matrices.
+"""Blocked prefix-product scan over stacks of matrices.
 
 The GRAPE chain rule needs every forward partial product ``A_k = U_k … U_1``
-and every backward partial product ``B_k = U_N … U_{k+1}`` of a pulse's step
-propagators.  A naive scan is ``n_steps`` sequential ``d×d`` GEMMs — each
-far too small to amortize a BLAS call.  The blocked scan here trades a few
-extra flops for *batched* GEMMs:
+of a pulse's step propagators.  (The backward products follow from these:
+the propagators are unitary, so ``U_N … U_{k+1} = U_total A_k†`` — see
+:mod:`repro.pulse.grape.cost`.)  A naive scan is ``n_steps`` sequential
+``d×d`` GEMMs — each far too small to amortize a BLAS call.  The blocked
+scan here trades a few extra flops for *batched* GEMMs:
 
 1. split the ``S`` matrices into ``C ≈ √S`` chunks of ``L ≈ √S``;
 2. scan *within* every chunk simultaneously — step ``j`` of each chunk is
@@ -12,22 +13,23 @@ extra flops for *batched* GEMMs:
    matmuls over ``C`` matrices each;
 3. scan the ``C`` chunk totals sequentially (the only serial part,
    ``C-1`` small GEMMs) into exclusive chunk offsets;
-4. combine local scans with their chunk offsets in one batched matmul over
-   all ``C·L`` matrices.
+4. combine local scans with their chunk offsets in one batched matmul —
+   one ``(L·d) × d`` GEMM per chunk, since a chunk's steps share its offset.
 
-That is ``≈ 2√S`` BLAS calls instead of ``S``, each over ``√S``-fold (or
-``S``-fold for the combine) larger batches — and every leading batch axis
+That is ``≈ 2√S`` numpy calls instead of ``S``, each over ``√S``-fold
+larger batches — and every leading batch axis
 (the cross-block stacking of :mod:`repro.pulse.grape.batched`) multiplies
 the batch size further at zero extra calls.  The scan axis is always
 ``-3``.
 
-Products reassociate (``(U₃U₂)(U₁·init)`` instead of ``U₃(U₂(U₁·init))``),
-so results match the sequential scan to float accumulation order —
-~1e-14 for unitary operands — not bit-for-bit.
+Products reassociate (``(U₃U₂)(U₁)`` instead of ``U₃(U₂U₁)``), so results
+match the sequential scan to float accumulation order — ~1e-14 for
+unitary operands — not bit-for-bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -57,66 +59,11 @@ def scan_block_size(n_steps: int) -> int:
     return max(2, int(round(math.sqrt(n_steps))))
 
 
-def _left_scan(mats, init, block_size=None, out=None):
-    """Cumulative left-products of ``mats`` applied to ``init``.
-
-    ``out[..., 0] = init`` and ``out[..., k] = mats[..., k-1] @ out[..., k-1]``
-    for ``k = 1 … n`` — i.e. ``out[..., k] = M_{k-1} … M_0 @ init``.  Any
-    leading axes of ``mats`` are batch axes.
-    """
-    mats = np.asarray(mats)
-    init = np.asarray(init)
-    n, d = mats.shape[-3], mats.shape[-1]
-    lead = mats.shape[:-3]
-    if out is None:
-        out = np.empty(lead + (n + 1, d, d), dtype=np.result_type(mats, init))
-    out[..., 0, :, :] = init
-    size = scan_block_size(n) if block_size is None else max(1, int(block_size))
-    if size <= 1 or n <= size:
-        for k in range(n):
-            np.matmul(
-                mats[..., k, :, :], out[..., k, :, :], out=out[..., k + 1, :, :]
-            )
-        return out
-
-    chunks = -(-n // size)
-    pad = chunks * size - n
-    eye = np.eye(d, dtype=out.dtype)
-    if pad:
-        # Trailing identity padding: the padded entries land past index n
-        # of the combined scan and are sliced away below.
-        padded = np.concatenate(
-            [mats, np.broadcast_to(eye, lead + (pad, d, d))], axis=-3
-        )
-    else:
-        padded = mats
-    work = padded.reshape(lead + (chunks, size, d, d))
-
-    # (2) local scans: step j of every chunk at once — batched over chunks.
-    local = np.empty(lead + (chunks, size, d, d), dtype=out.dtype)
-    local[..., :, 0, :, :] = work[..., :, 0, :, :]
-    for j in range(1, size):
-        np.matmul(
-            work[..., :, j, :, :],
-            local[..., :, j - 1, :, :],
-            out=local[..., :, j, :, :],
-        )
-    # (3) sequential exclusive prefix over the chunk totals.
-    offsets = np.empty(lead + (chunks, d, d), dtype=out.dtype)
-    offsets[..., 0, :, :] = init
-    totals = local[..., :, size - 1, :, :]
-    for c in range(1, chunks):
-        np.matmul(
-            totals[..., c - 1, :, :],
-            offsets[..., c - 1, :, :],
-            out=offsets[..., c, :, :],
-        )
-    # (4) one batched combine over all chunks × steps.
-    combined = np.matmul(local, offsets[..., :, None, :, :])
-    out[..., 1:, :, :] = combined.reshape(lead + (chunks * size, d, d))[
-        ..., :n, :, :
-    ]
-    return out
+@functools.lru_cache(maxsize=None)
+def _identity(dim: int) -> np.ndarray:
+    eye = np.eye(dim, dtype=complex)
+    eye.flags.writeable = False
+    return eye
 
 
 def forward_partial_products(props, block_size=None, out=None):
@@ -125,32 +72,53 @@ def forward_partial_products(props, block_size=None, out=None):
     ``out[..., 0] = I`` and ``out[..., k] = props[..., k-1] @ … @ props[..., 0]``
     — the ``A_k`` of the GRAPE chain rule, with ``out[..., -1]`` the total
     unitary.  ``props`` has shape ``(..., n, d, d)``; the result appends one
-    scan entry: ``(..., n+1, d, d)``.
+    scan entry: ``(..., n+1, d, d)``.  ``block_size`` is the chunk length
+    (:func:`scan_block_size` when ``None``; 1 scans sequentially).
     """
     props = np.asarray(props)
-    eye = np.eye(props.shape[-1], dtype=complex)
-    return _left_scan(props, eye, block_size, out)
-
-
-def backward_partial_products(props, init, block_size=None, out=None):
-    """All backward partial products, with ``init`` folded in from the left.
-
-    ``out[..., k] = init @ props[..., n-1] @ … @ props[..., k+1]`` (so
-    ``out[..., n-1] = init``) — the ``E† B_k`` of the GRAPE chain rule when
-    ``init = E†``.  Shapes: ``props (..., n, d, d)`` → ``out (..., n, d, d)``.
-
-    Implemented as a left scan through the transpose identity
-    ``(A B)ᵀ = Bᵀ Aᵀ``: with ``R_0 = init`` and ``R_r = R_{r-1} @ M_r`` over
-    the reversed propagators ``M_r = props[n-r]``, each ``R_rᵀ`` is a plain
-    left-accumulation, and ``out[..., k] = R_{n-1-k}``.
-    """
-    props = np.asarray(props)
-    init = np.asarray(init)
     n, d = props.shape[-3], props.shape[-1]
     lead = props.shape[:-3]
     if out is None:
-        out = np.empty(lead + (n, d, d), dtype=np.result_type(props, init))
-    mats_t = np.swapaxes(props[..., :0:-1, :, :], -1, -2)
-    scanned = _left_scan(mats_t, np.swapaxes(init, -1, -2), block_size)
-    out[...] = np.swapaxes(scanned[..., ::-1, :, :], -1, -2)
+        out = np.empty(lead + (n + 1, d, d), dtype=np.result_type(props, complex))
+    eye = _identity(d)
+    out[..., 0, :, :] = eye
+    size = scan_block_size(n) if block_size is None else max(1, int(block_size))
+    if size <= 1 or n <= size:
+        out[..., 1, :, :] = props[..., 0, :, :]
+        for k in range(1, n):
+            np.matmul(
+                props[..., k, :, :], out[..., k, :, :], out=out[..., k + 1, :, :]
+            )
+        return out
+
+    chunks = -(-n // size)
+    # Trailing identity padding: the padded entries land past index n of
+    # the combined scan and are sliced away below.
+    work = np.empty(lead + (chunks * size, d, d), dtype=out.dtype)
+    work[..., :n, :, :] = props
+    work[..., n:, :, :] = eye
+    work = work.reshape(lead + (chunks, size, d, d))
+
+    # (2) local scans: step j of every chunk at once — batched over chunks.
+    local = np.empty_like(work)
+    local[..., 0, :, :] = work[..., 0, :, :]
+    for j in range(1, size):
+        np.matmul(
+            work[..., j, :, :], local[..., j - 1, :, :], out=local[..., j, :, :]
+        )
+    # (3) sequential exclusive prefix over the chunk totals.
+    offsets = np.empty(lead + (chunks, d, d), dtype=out.dtype)
+    offsets[..., 0, :, :] = eye
+    for c in range(1, chunks):
+        np.matmul(
+            local[..., c - 1, size - 1, :, :],
+            offsets[..., c - 1, :, :],
+            out=offsets[..., c, :, :],
+        )
+    # (4) combine: a chunk's steps share its offset, so stacking them into
+    # (L·d, d) rows makes the combine one GEMM per chunk.
+    combined = np.matmul(local.reshape(lead + (chunks, size * d, d)), offsets)
+    out[..., 1:, :, :] = combined.reshape(lead + (chunks * size, d, d))[
+        ..., :n, :, :
+    ]
     return out

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import atexit
 import multiprocessing
-import os
 import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -53,6 +52,7 @@ from typing import Callable, Iterable
 from repro.config import EXECUTOR_CHOICES, get_pipeline_config
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
+from repro.service.config import usable_cpu_count
 
 #: Per-worker deserialized task function (set by the pool initializer).
 _process_worker_fn = None
@@ -148,7 +148,7 @@ class _PoolBlockExecutor(BlockExecutor):
     def __init__(self, max_workers: int | None = None):
         if max_workers is None:
             max_workers = get_pipeline_config().max_workers
-        self.max_workers = max_workers or os.cpu_count() or 1
+        self.max_workers = max_workers or usable_cpu_count()
 
     def describe(self) -> dict:
         return {"executor": self.name, "max_workers": self.max_workers}
@@ -354,11 +354,12 @@ class AutoExecutor(BlockExecutor):
     persistent thread pool wins for large maps.  ``auto`` decides per host
     and per map:
 
-    * ``cpu_count() <= 2`` → *inline mode*: every map runs in the calling
-      thread, the scheduler is told to prefer the cross-block **batched**
-      GRAPE kernel (big GEMMs are the only parallelism that pays here),
-      and speculative time-search probes are declined (they only trade
-      extra GRAPE work for wall-clock when cores are free).
+    * at most 2 usable CPUs (the process's affinity mask) → *inline
+      mode*: every map runs in the calling thread, the scheduler is told
+      to prefer the cross-block **batched** GRAPE kernel (big GEMMs are
+      the only parallelism that pays here), and speculative time-search
+      probes are declined (they only trade extra GRAPE work for
+      wall-clock when cores are free).
     * otherwise → maps of ≥3 items delegate to the shared
       ``thread-persistent`` pool (threads keep in-memory pulse-cache writes
       visible, unlike processes, so auto never silently changes caching
@@ -381,7 +382,7 @@ class AutoExecutor(BlockExecutor):
 
     def __init__(self, max_workers: int | None = None):
         self.max_workers = max_workers
-        self.cpu_count = os.cpu_count() or 1
+        self.cpu_count = usable_cpu_count()
         self.prefers_inline = self.cpu_count <= 2
         self.prefers_batched = self.prefers_inline
         self.speculation_helps = not self.prefers_inline
@@ -504,7 +505,7 @@ def resolve_executor(
         # that same count aliases the same pool, and a later config change
         # resolves to a new key (new pool) instead of a stale one.
         if max_workers is None:
-            workers = get_pipeline_config().max_workers or os.cpu_count() or 1
+            workers = get_pipeline_config().max_workers or usable_cpu_count()
         else:
             workers = max_workers
         key = (spec, workers)

@@ -28,32 +28,38 @@ class AdamOptimizer:
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
-        self._m: np.ndarray | None = None
-        self._v: np.ndarray | None = None
+        #: (m, v, m̂ scratch, denominator scratch, output), from the first step.
+        self._buffers: tuple | None = None
         self._t = 0
 
     def reset(self) -> None:
         """Clear the moment estimates and step counter."""
-        self._m = None
-        self._v = None
+        self._buffers = None
         self._t = 0
 
     def step(self, params: np.ndarray, gradient: np.ndarray, scale: np.ndarray | float = 1.0) -> np.ndarray:
         """One descent update; returns the new parameters.
 
         ``scale`` multiplies the step per row (per control channel); passing
-        the amplitude bounds makes the learning rate dimensionless.
+        the amplitude bounds makes the learning rate dimensionless.  The
+        returned array is the optimizer's output buffer: the next step
+        overwrites it.
         """
-        if self._m is None:
-            self._m = np.zeros_like(params)
-            self._v = np.zeros_like(params)
+        if self._buffers is None:
+            self._buffers = tuple(np.zeros_like(params) for _ in range(5))
+        m, v, m_hat, denominator, out = self._buffers
         self._t += 1
-        self._m = self.beta1 * self._m + (1 - self.beta1) * gradient
-        self._v = self.beta2 * self._v + (1 - self.beta2) * gradient**2
-        m_hat = self._m / (1 - self.beta1**self._t)
-        v_hat = self._v / (1 - self.beta2**self._t)
+        m *= self.beta1
+        m += np.multiply(gradient, 1 - self.beta1, out=m_hat)
+        v *= self.beta2
+        v += np.multiply(np.square(gradient, out=denominator), 1 - self.beta2, out=denominator)
+        # direction = m̂ / (√v̂ + ε), with m̂ and v̂ the bias-corrected moments.
+        np.divide(m, 1 - self.beta1**self._t, out=m_hat)
+        np.sqrt(np.divide(v, 1 - self.beta2**self._t, out=denominator), out=denominator)
+        denominator += self.epsilon
+        direction = np.divide(m_hat, denominator, out=m_hat)
         lr = self.learning_rate / (1.0 + self.decay_rate * self._t)
-        direction = m_hat / (np.sqrt(v_hat) + self.epsilon)
         if isinstance(scale, np.ndarray):
             scale = scale[:, None]
-        return params - lr * scale * direction
+        direction *= lr * scale
+        return np.subtract(params, direction, out=out)

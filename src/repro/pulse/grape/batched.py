@@ -5,21 +5,23 @@ batch (see :class:`repro.pipeline.scheduler.BlockScheduler`), yet the
 per-block kernel optimizes them one at a time — hundreds of numpy calls
 per iteration per block, each over matrices far too small to amortize the
 call overhead.  This module stacks ``B`` problems that share a shape
-``(dim, n_controls, n_steps)`` along a leading batch axis and runs every
-hot contraction of :class:`~repro.pulse.grape.cost.GrapeCost` — the
-step-Hamiltonian GEMM, the stacked ``eigh``/``expm``, the blocked
-propagator scans, the divided-differences gradient, and the per-control
-``K_k`` contraction — as single batched calls over *blocks × steps*
-matrices, so one optimizer sweep advances all stacked blocks at once.
+``(dim, n_controls, n_steps)`` along the leading batch axis of the one
+GRAPE kernel, :func:`~repro.pulse.grape.cost.stacked_cost_and_gradient`
+(which :class:`~repro.pulse.grape.cost.GrapeCost` runs with a batch of
+one), so the step-Hamiltonian GEMM, the stacked ``eigh``/``expm``, the
+blocked propagator scan, the divided-differences gradient, and the
+per-control ``K_k`` contraction are single batched calls over *blocks ×
+steps* matrices, and one optimizer sweep advances all stacked blocks at
+once.
 
 Equivalence contract
 --------------------
 Batched results are bit-identical to running the per-block path serially
 (asserted at ≤1e-10 in the regression tests, observed exact):
 
-* every per-slice operation (GEMM, ``eigh``, Loewner mask) runs the same
-  BLAS/LAPACK kernel per matrix whether the leading axis is ``(S,)`` or
-  ``(B, S)``;
+* both paths run the same kernel, and every operation in it (GEMM,
+  ``eigh``, Loewner mask, trace) works per block, running the same
+  BLAS/LAPACK kernel per matrix whatever the batch size;
 * the blocked scan chunks by ``n_steps`` only, so batched and per-block
   scans reassociate identically;
 * each block keeps its **own** optimizer instance (ADAM moments or the
@@ -46,11 +48,9 @@ import time
 import numpy as np
 
 from repro.errors import GrapeError
-from repro.linalg.expm import _divided_differences, expm_hermitian_factorized
-from repro.linalg.scan import backward_partial_products, forward_partial_products
 from repro.perf import get_perf_registry
 from repro.pulse.grape.controls import clip_controls, envelope_window, initial_controls
-from repro.pulse.grape.cost import GrapeCost
+from repro.pulse.grape.cost import GrapeCost, stacked_cost_and_gradient, workspace
 from repro.pulse.grape.engine import (
     GrapeHyperparameters,
     GrapeResult,
@@ -70,43 +70,36 @@ class BatchedGrapeCost:
 
     Built from ``B`` per-block cost objects sharing ``(dim, n_controls)``,
     time step, and regularization; evaluates cost/gradient/fidelity for a
-    ``(B, n_controls, n_steps)`` control stack in one pass of batched
-    GEMMs.  ``indices`` selects a sub-batch, which is how the optimizer
-    loop freezes converged blocks out of the active stack.
+    ``(B, n_controls, n_steps)`` control stack in one pass of the shared
+    stacked kernel.  ``indices`` selects a sub-batch, which is how the
+    optimizer loop freezes converged blocks out of the active stack.
     """
 
     def __init__(self, costs: list):
         if not costs:
             raise GrapeError("need at least one cost object to batch")
+        shapes = {
+            (c.control_set.dim, c.control_set.num_controls, c.dt_ns, c.regularization)
+            for c in costs
+        }
+        if len(shapes) > 1:
+            raise GrapeError(
+                "batched blocks must share the Hilbert dimension, control "
+                f"count, dt and regularization; got {shapes}"
+            )
         first = costs[0]
-        for cost in costs[1:]:
-            if cost.control_set.dim != first.control_set.dim:
-                raise GrapeError(
-                    "batched blocks must share the Hilbert dimension; got "
-                    f"{cost.control_set.dim} != {first.control_set.dim}"
-                )
-            if cost.control_set.num_controls != first.control_set.num_controls:
-                raise GrapeError(
-                    "batched blocks must share the control count; got "
-                    f"{cost.control_set.num_controls} != "
-                    f"{first.control_set.num_controls}"
-                )
-            if cost.dt_ns != first.dt_ns:
-                raise GrapeError("batched blocks must share dt")
-            if cost.regularization != first.regularization:
-                raise GrapeError("batched blocks must share regularization")
         self.costs = list(costs)
         self.dt_ns = first.dt_ns
         self.dim = first.control_set.dim
         self.num_controls = first.control_set.num_controls
         self._dim_comp = first._dim_comp
-        # Stacked contraction plans: (B, c, d²) flattened operators,
-        # (B, d, d) drifts and folded targets.
-        self._ops_flat = np.stack([cost._ops_flat for cost in costs])
-        self._drift = np.stack(
-            [np.asarray(cost.control_set.drift, dtype=complex) for cost in costs]
+        self._penalized = first._penalized
+        # Every block's batch-of-one kernel operands, stacked.
+        self._stacks = tuple(
+            np.concatenate(parts)
+            for parts in zip(*(cost._operands for cost in costs))
         )
-        self._e_dag = np.stack([cost._e_dag for cost in costs])
+        self._workspaces: dict = {}
 
     def cost_and_gradient(self, controls: np.ndarray, indices=None) -> tuple:
         """Return ``(costs, gradients, fidelities)`` for a control stack.
@@ -115,70 +108,29 @@ class BatchedGrapeCost:
         the active sub-batch selected by ``indices`` (all blocks when
         ``None``).  Results are arrays batched over the same axis.
         """
+        operands = self._stacks
         if indices is None:
             indices = range(len(self.costs))
-        indices = list(indices)
-        ops_flat = self._ops_flat[indices]
-        e_dag = self._e_dag[indices]
-        batch, n_controls, n_steps = controls.shape
-        dim = self.dim
-        dt = self.dt_ns
-
-        # Step Hamiltonians for every block × slice: one batched GEMM.
-        hams = np.matmul(controls.transpose(0, 2, 1), ops_flat).reshape(
-            batch, n_steps, dim, dim
+        else:
+            operands = tuple(stack[list(indices)] for stack in operands)
+        batch, _, n_steps = controls.shape
+        costs, gradients, fidelities = stacked_cost_and_gradient(
+            controls,
+            *operands,
+            self.dt_ns,
+            self._dim_comp,
+            workspace(self._workspaces, batch, n_steps, self.dim),
         )
-        hams += self._drift[indices][:, None, :, :]
-        eigvals, eigvecs, phases, props = expm_hermitian_factorized(hams, dt)
-
-        forward = forward_partial_products(props)
-        bwd = backward_partial_products(props, e_dag)
-
-        total = forward[:, -1]
-        # Per-block overlap traces, written exactly as the per-block kernel
-        # computes them so accumulation order matches bit-for-bit.
-        overlap = (
-            np.stack(
-                [
-                    np.einsum("ij,ji->", e_dag[b], total[b])
-                    for b in range(batch)
-                ]
-            )
-            / self._dim_comp
-        )
-        fidelity = np.abs(overlap) ** 2
-
-        g_mats = np.matmul(forward[:, :-1], bwd)
-        gammas = _divided_differences(eigvals, phases, dt)
-        vecs_t = np.swapaxes(eigvecs, -1, -2)
-        vecs_conj = eigvecs.conj()
-        g_eig_t = np.matmul(
-            vecs_t, np.matmul(np.swapaxes(g_mats, -1, -2), vecs_conj)
-        )
-        np.multiply(g_eig_t, gammas, out=g_eig_t)
-        k_mats = np.matmul(vecs_conj, np.matmul(g_eig_t, vecs_t))
-        overlap_grad = (
-            np.matmul(
-                ops_flat,
-                np.swapaxes(k_mats.reshape(batch, n_steps, dim * dim), -1, -2),
-            )
-            / self._dim_comp
-        )
-        grad_fidelity = 2.0 * np.real(
-            np.conj(overlap)[:, None, None] * overlap_grad
-        )
-        costs = 1.0 - fidelity
-        gradients = -grad_fidelity
-
-        # Regularization is elementwise and cheap; the per-block call keeps
-        # it literally the serial code path.
-        for pos, b in enumerate(indices):
-            reg_cost, reg_grad = self.costs[b]._regularization_terms(
-                controls[pos]
-            )
-            costs[pos] += reg_cost
-            gradients[pos] += reg_grad
-        return costs, gradients, fidelity
+        if self._penalized:
+            # Regularization is elementwise and cheap; the per-block call
+            # keeps it literally the serial code path.
+            for pos, b in enumerate(indices):
+                reg_cost, reg_grad = self.costs[b]._regularization_terms(
+                    controls[pos]
+                )
+                costs[pos] += reg_cost
+                gradients[pos] += reg_grad
+        return costs, gradients, fidelities
 
 
 def optimize_pulse_batch(
@@ -294,9 +246,9 @@ def optimize_pulse_batch(
                 elapsed[b] = time.perf_counter() - start
                 continue  # freeze-out: plateaued
             fields = optimizers[b].step(stack[pos], gradients[pos], scale=bounds[b])
-            fields = clip_controls(fields, bounds[b])
+            clip_controls(fields, bounds[b], out=fields)
             if window is not None:
-                fields = fields * window
+                fields *= window
             controls[b] = fields
             still_active.append(b)
         active = still_active

@@ -40,10 +40,10 @@ def initial_controls(
     return controls
 
 
-def clip_controls(controls: np.ndarray, max_amplitudes: np.ndarray) -> np.ndarray:
-    """Project controls onto the amplitude box ``|u_c| ≤ max_amplitudes[c]``."""
+def clip_controls(controls: np.ndarray, max_amplitudes: np.ndarray, out=None) -> np.ndarray:
+    """Project controls onto the box ``|u_c| ≤ max_amplitudes[c]`` (into ``out`` if given)."""
     bounds = np.asarray(max_amplitudes)[:, None]
-    return np.clip(controls, -bounds, bounds)
+    return np.clip(controls, -bounds, bounds, out=out)
 
 
 def envelope_window(num_steps: int, ramp_fraction: float = 0.1) -> np.ndarray:

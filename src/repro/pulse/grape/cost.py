@@ -12,34 +12,35 @@ toward the overlap).
 Gradients are exact: the derivative of each step propagator
 ``U_k = exp(-i dt H_k)`` along each control operator comes from the
 eigenbasis Fréchet formula (see :mod:`repro.linalg.expm`), and the chain
-rule through the product ``U_N … U_1`` uses the standard forward/backward
-partial products.
+rule through the product ``U_N … U_1`` contracts it with
+``G_k = A_{k-1} E† B_k`` (forward products ``A_k = U_k … U_1``, backward
+products ``B_k = U_N … U_{k+1}``).
 
 Kernel layout
 -------------
 ``cost_and_gradient`` is the hot path of the whole reproduction — every
-GRAPE iteration of every block runs it once — so it is written as a
-batched kernel rather than a per-step Python loop:
+GRAPE iteration of every block runs it — so it is one stacked kernel,
+:func:`stacked_cost_and_gradient`, over a leading batch axis of blocks.
+:class:`GrapeCost` runs it with a batch of one and
+:class:`~repro.pulse.grape.batched.BatchedGrapeCost` with many, so both
+paths share every floating-point operation.
 
-* all step Hamiltonians, eigendecompositions, propagators, and Loewner
-  (divided-difference) matrices are produced in single stacked calls;
-* the target ``E†`` is folded into the backward scan, so the gradient
-  contraction ``G_k = A_{k-1} E† B_k`` costs one batched matmul instead
-  of two;
-* both propagator scans run through the blocked prefix-product scan of
-  :mod:`repro.linalg.scan` — ``≈ 2√S`` batched GEMMs instead of ``S``
-  sequential ones — and ``propagate`` reuses the same code path, so there
-  is exactly one way a pulse is propagated anywhere in the package;
-* the per-control contraction is fused through the kernel matrix
-  ``K_k = V̄_k (Γ_k ∘ (V_k† G_k V_k)ᵀ) V_kᵀ`` so the expensive ``O(d³)``
-  transforms happen once per *step* instead of once per *step × control*,
-  and the per-control reduction collapses to one GEMM against the
-  pre-flattened control operators;
-* contraction plans — pre-reshaped operand layouts that turn every hot
-  contraction into a batched BLAS matmul — are prepared in ``__init__``,
-  and the forward/backward scan buffers are preallocated and reused
-  across iterations, so the optimizer's inner loop does no einsum path
-  planning and a minimal amount of allocation.
+* Step Hamiltonians, eigendecompositions, propagators and Loewner
+  (divided-difference) matrices come from single stacked calls.
+* Only the forward products are scanned, through the blocked scan of
+  :mod:`repro.linalg.scan` (``propagate`` uses it too).  The backward
+  products follow from them because every propagator is unitary:
+  ``B_k = U_total A_k†``, so with ``W = E† U_total`` (whose trace is the
+  fidelity overlap) ``G_k = A_{k-1} W A_k†`` — a few batched GEMMs
+  instead of a second scan.
+* The per-control contraction is fused through the kernel matrix
+  ``K_k = V̄_k (Γ_k ∘ (V_k† G_k V_k)ᵀ) V_kᵀ``: the ``O(d³)`` transforms run
+  once per *step*, not per *step × control*, and the per-control
+  reduction is one GEMM against the pre-flattened control operators.
+* Per-call overhead is paid once per shape: operand layouts are prepared
+  in ``__init__``; :func:`workspace` holds the resolved scan chunk length
+  and the reused Hamiltonian and scan buffers per ``(batch, n_steps)``;
+  penalty terms are skipped when every regularization weight is zero.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from repro.linalg.expm import (
     expm_hermitian,
     expm_hermitian_factorized,
 )
-from repro.linalg.scan import backward_partial_products, forward_partial_products
+from repro.linalg.scan import forward_partial_products, scan_block_size
 from repro.pulse.hamiltonian import ControlSet, embed_target_unitary
 
 
@@ -128,38 +129,23 @@ class GrapeCost:
         self._dim_comp = dim_comp
 
         # -- contraction plans, prepared once per cost object --------------
-        # Control operators in the layouts the kernel consumes: a contiguous
-        # complex stack for Hamiltonian assembly and a pre-flattened (c, d²)
-        # matrix so the per-control gradient reduction is a single GEMM.
-        # With these fixed layouts every hot contraction compiles to a
-        # batched BLAS matmul, so no einsum path planning survives in the
-        # iteration loop at all (the seed re-planned several per call).
+        # Control operators pre-flattened to (c, d²) so Hamiltonian assembly
+        # and the per-control gradient reduction are single GEMMs; the
+        # stacked kernel's operands are held as a batch of one.
         dim = control_set.dim
-        self._ops = np.ascontiguousarray(control_set.operators, dtype=complex)
-        self._ops_flat = self._ops.reshape(self._ops.shape[0], dim * dim)
-        self._e_dag = np.ascontiguousarray(embedded.conj().T)
-        #: forward/backward scan buffers keyed by (n_steps, dim).
-        self._scan_buffers: dict = {}
-
-    def _buffers(self, n_steps: int, dim: int) -> tuple:
-        """Reusable forward/backward scan buffers for this problem size.
-
-        The ADAM/L-BFGS loop calls ``cost_and_gradient`` hundreds of times
-        with an unchanged shape; reusing the scan arrays keeps the inner
-        loop allocation-free where it matters most.
-        """
-        key = (n_steps, dim)
-        buffers = self._scan_buffers.get(key)
-        if buffers is None:
-            forward = np.empty((n_steps + 1, dim, dim), dtype=complex)
-            bwd = np.empty((n_steps, dim, dim), dtype=complex)
-            buffers = (forward, bwd)
-            # One shape dominates per optimization run; evict stale sizes
-            # (minimum-time search probes several pulse lengths).
-            if len(self._scan_buffers) >= 4:
-                self._scan_buffers.clear()
-            self._scan_buffers[key] = buffers
-        return buffers
+        self._ops_flat = np.ascontiguousarray(
+            control_set.operators, dtype=complex
+        ).reshape(-1, dim * dim)
+        self._operands = (
+            self._ops_flat[None],
+            np.asarray(control_set.drift, dtype=complex)[None, None],
+            np.ascontiguousarray(embedded.conj().T)[None],
+        )
+        reg = self.regularization
+        self._penalized = max(
+            reg.amplitude_weight, reg.slope_weight, reg.curvature_weight
+        ) > 0
+        self._workspaces: dict = {}
 
     # -- fidelity only (cheap path used for final verification) -----------
     def propagate(self, controls: np.ndarray) -> np.ndarray:
@@ -182,67 +168,26 @@ class GrapeCost:
             raise GrapeError(
                 f"controls rows {n_controls} != channels {self.control_set.num_controls}"
             )
-        dt = self.dt_ns
-        dim = self.control_set.dim
-
-        # One shared propagator code path with ``propagate``: diagonalize
-        # and exponentiate every time slice in a single stacked call.
-        eigvals, eigvecs, phases, props = expm_hermitian_factorized(
-            self._step_hamiltonians(controls), dt
+        costs, gradients, fidelities = stacked_cost_and_gradient(
+            controls[None],
+            *self._operands,
+            self.dt_ns,
+            self._dim_comp,
+            workspace(self._workspaces, 1, n_steps, self.control_set.dim),
         )
-
-        forward, bwd = self._buffers(n_steps, dim)
-        # Forward partial products A_k = U_k … U_1 (A[0] = identity) and the
-        # backward partial products with the target folded in — bwd[k] = E† B_k
-        # where B_k = U_{N-1} … U_{k+1} (so bwd[N-1] = E†) — via the shared
-        # blocked prefix-product scan (~2√S batched GEMMs instead of S).
-        e_dag = self._e_dag
-        forward_partial_products(props, out=forward)
-        backward_partial_products(props, e_dag, out=bwd)
-
-        total = forward[n_steps]
-        overlap = np.einsum("ij,ji->", e_dag, total) / self._dim_comp
-        fidelity = float(np.abs(overlap) ** 2)
-
-        # dz/du_ck = Tr(G_k · dU_k/du_ck) / d_comp with
-        # G_k = A_{k-1} E† B_k   (z = Tr(E† B_k U_k A_{k-1}) / d_comp).
-        g_mats = np.matmul(forward[:-1], bwd)
-        # All Loewner (divided-difference) matrices in one broadcasted call.
-        gammas = _divided_differences(eigvals, phases, dt)
-
-        # Fused per-control contraction.  With M_k = Γ_k ∘ (V_k† G_k V_k)ᵀ
-        # the gradient overlap is Σ_ab (Op_c)_ab (K_k)_ab for the kernel
-        # matrix K_k = V̄_k M_k V_kᵀ: the O(d³) transforms run once per step
-        # (not per step × control) as batched GEMMs, and the per-control
-        # reduction is one GEMM against the pre-flattened operators.
-        vecs_t = np.swapaxes(eigvecs, -1, -2)
-        vecs_conj = eigvecs.conj()
-        # (V† G V)ᵀ = Vᵀ Gᵀ V̄, built directly in transposed form.
-        g_eig_t = np.matmul(vecs_t, np.matmul(np.swapaxes(g_mats, -1, -2), vecs_conj))
-        np.multiply(g_eig_t, gammas, out=g_eig_t)  # M_k, in place
-        k_mats = np.matmul(vecs_conj, np.matmul(g_eig_t, vecs_t))
-        overlap_grad = (
-            self._ops_flat @ k_mats.reshape(n_steps, dim * dim).T
-        ) / self._dim_comp
-        grad_fidelity = 2.0 * np.real(np.conj(overlap) * overlap_grad)
-        cost = 1.0 - fidelity
-        gradient = -grad_fidelity
-
-        reg_cost, reg_grad = self._regularization_terms(controls)
-        return cost + reg_cost, gradient + reg_grad, fidelity
+        cost, gradient = float(costs[0]), gradients[0]
+        if self._penalized:
+            reg_cost, reg_grad = self._regularization_terms(controls)
+            cost += reg_cost
+            gradient += reg_grad
+        return cost, gradient, float(fidelities[0])
 
     # -- helpers ------------------------------------------------------------
     def _step_hamiltonians(self, controls: np.ndarray) -> np.ndarray:
-        """Stack of per-slice Hamiltonians ``H_k = H_drift + Σ_c u_ck Op_c``.
-
-        One GEMM against the pre-flattened control operators replaces the
-        seed's 3-index einsum (which re-planned its path every call).
-        """
-        drift = self.control_set.drift
+        """Stack of per-slice Hamiltonians ``H_k = H_drift + Σ_c u_ck Op_c``."""
         dim = self.control_set.dim
         hams = (controls.T @ self._ops_flat).reshape(-1, dim, dim)
-        hams += drift
-        return hams
+        return hams + self.control_set.drift
 
     def _regularization_terms(self, controls: np.ndarray) -> tuple:
         reg = self.regularization
@@ -269,3 +214,88 @@ class GrapeCost:
             back[:, 2:] += curv
             grad += 2 * reg.curvature_weight * back / bounds / curv.size
         return cost, grad
+
+
+def workspace(cache: dict, batch: int, n_steps: int, dim: int) -> tuple:
+    """The kernel's reused state for one ``(batch, n_steps)`` shape.
+
+    ``(scan chunk length, Hamiltonian buffer, forward-scan buffer)``, built
+    on first use and kept in ``cache``.  One shape dominates a run; the
+    minimum-time search and freeze-out visit a few more, so the cache is
+    cleared once it holds four.
+    """
+    key = (batch, n_steps)
+    if key not in cache:
+        if len(cache) >= 4:
+            cache.clear()
+        cache[key] = (
+            scan_block_size(n_steps),
+            np.empty((batch, n_steps, dim, dim), dtype=complex),
+            np.empty((batch, n_steps + 1, dim, dim), dtype=complex),
+        )
+    return cache[key]
+
+
+def stacked_cost_and_gradient(
+    controls: np.ndarray,
+    ops_flat: np.ndarray,
+    drift: np.ndarray,
+    e_dag: np.ndarray,
+    dt: float,
+    dim_comp: int,
+    ws: tuple,
+) -> tuple:
+    """Infidelities, gradients and fidelities of ``B`` stacked blocks.
+
+    ``controls`` is ``(B, c, S)``; the operands are stacked per block:
+    flattened control operators ``(B, c, d²)``, drifts ``(B, 1, d, d)`` and
+    folded targets ``E†`` ``(B, d, d)``.  Returns ``(costs, gradients,
+    fidelities)`` shaped ``(B,)``, ``(B, c, S)`` and ``(B,)``, without
+    regularization; ``ws`` comes from :func:`workspace`.  Every operation
+    is per block, so a block's numbers do not depend on the rest of the
+    stack.
+    """
+    batch, _, n_steps = controls.shape
+    dim = drift.shape[-1]
+    block_size, hams, forward = ws
+
+    # Step Hamiltonians H_k = H_drift + Σ_c u_ck Op_c: one batched GEMM.
+    np.matmul(
+        controls.transpose(0, 2, 1),
+        ops_flat,
+        out=hams.reshape(batch, n_steps, dim * dim),
+    )
+    hams += drift
+    eigvals, eigvecs, phases, props = expm_hermitian_factorized(hams, dt)
+
+    # Forward products A_k = U_k … U_1 (A_0 = I, A_S = U_total).
+    forward_partial_products(props, block_size, out=forward)
+    w = np.matmul(e_dag, forward[:, n_steps])  # W = E† U_total
+    overlap = w.trace(axis1=1, axis2=2) / dim_comp
+    fidelity = np.abs(overlap) ** 2
+
+    # dz/du_ck = Tr(G_k · dU_k/du_ck) / d_comp with G_k = A_{k-1} W A_k†
+    # (see the module docstring).  In the eigenbasis of U_k = V_k D_k V_k†,
+    # X_k = V_k† A_{k-1} turns the forward step into V_k† A_k = D_k X_k, so
+    # (V_k† G_k V_k)ᵀ = conj(D_k X_k) Wᵀ X_kᵀ: two per-step GEMMs around one
+    # GEMM per block against the shared Wᵀ.
+    vecs_t = eigvecs.swapaxes(-1, -2)
+    vecs_conj = eigvecs.conj()
+    x_mats = np.matmul(vecs_conj.swapaxes(-1, -2), forward[:, :-1])
+    rows = np.conjugate(x_mats * phases[..., :, None]).reshape(batch, -1, dim)
+    m_mats = np.matmul(
+        np.matmul(rows, w.transpose(0, 2, 1)).reshape(x_mats.shape),
+        x_mats.swapaxes(-1, -2),
+    )
+    # Fused per-control contraction: with M_k = Γ_k ∘ (V_k† G_k V_k)ᵀ the
+    # gradient overlap is Σ_ab (Op_c)_ab (K_k)_ab for K_k = V̄_k M_k V_kᵀ, so
+    # the O(d³) transforms run once per step and the per-control reduction
+    # is one GEMM against the pre-flattened operators.
+    m_mats *= _divided_differences(eigvals, phases, dt)
+    k_mats = np.matmul(vecs_conj, np.matmul(m_mats, vecs_t))
+    overlap_grad = np.matmul(
+        ops_flat, k_mats.reshape(batch, n_steps, dim * dim).transpose(0, 2, 1)
+    )
+    # dF/du = 2 Re(z̄ dz/du), and the cost is 1 - F.
+    gradients = (-2.0 / dim_comp) * (overlap.conj()[:, None, None] * overlap_grad).real
+    return 1.0 - fidelity, gradients, fidelity

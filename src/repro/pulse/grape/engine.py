@@ -196,10 +196,11 @@ def optimize_pulse(
             break
         if stall >= settings.plateau_patience:
             break
+        # The optimizer updates into its own buffer; clip and window in place.
         controls = optimizer.step(controls, gradient, scale=bounds)
-        controls = clip_controls(controls, bounds)
+        clip_controls(controls, bounds, out=controls)
         if window is not None:
-            controls = controls * window
+            controls *= window
 
     elapsed = time.perf_counter() - start
     schedule = PulseSchedule(

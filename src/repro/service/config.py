@@ -124,6 +124,17 @@ def warn_deprecated(old: str, strategy: str) -> None:
     )
 
 
+def usable_cpu_count() -> int:
+    """CPUs this process may run on — its affinity mask, not the host total.
+
+    Pool sizes follow this, so a process pinned with ``taskset -c 0`` on a
+    many-core host sizes like a 1-CPU host.
+    """
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, len(os.sched_getaffinity(0)))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class ServiceConfig:
     """Execution settings for the compilation service (and everything
@@ -141,12 +152,12 @@ class ServiceConfig:
         amortize one long-lived pool across every map of a run.
     max_workers:
         Worker count for the parallel executors (``REPRO_MAX_WORKERS``);
-        ``None`` means ``os.cpu_count()``.
+        ``None`` means :func:`usable_cpu_count`.
     submit_workers:
         Size of the request-level thread pool behind
         :meth:`repro.service.CompilationService.submit`
         (``REPRO_SUBMIT_WORKERS``).  Defaults to
-        ``min(8, os.cpu_count())`` — enough to overlap non-conflicting
+        ``min(8, usable_cpu_count())`` — enough to overlap non-conflicting
         requests without oversubscribing block-level workers.
     cache_dir:
         Directory for the persistent pulse cache (``REPRO_CACHE_DIR``).
@@ -253,7 +264,7 @@ class ServiceConfig:
     executor: str = "auto"
     max_workers: int | None = None
     submit_workers: int = field(
-        default_factory=lambda: min(8, os.cpu_count() or 1)
+        default_factory=lambda: min(8, usable_cpu_count())
     )
     cache_dir: str | None = None
     cache_shards: int = 16

@@ -60,6 +60,18 @@ class TestLifecycle:
         assert queue.consume_result(job_id) == {"outcome": 42}
         assert queue.consume_result(job_id) is None
 
+    def test_polling_a_missing_result_skips_the_queue_lock(self, tmp_path):
+        """Dispatchers poll every pending job each few milliseconds; a record
+        that does not exist yet must not cost a queue-lock acquisition."""
+        queue = FleetQueue(tmp_path)
+        job_id = queue.enqueue("payload")
+
+        def no_lock():
+            raise AssertionError("queue lock taken for a missing record")
+
+        queue._locked = no_lock
+        assert queue.consume_result(job_id) is None
+
     def test_status_counts_everything(self, tmp_path):
         queue = FleetQueue(tmp_path)
         queue.enqueue("a")

@@ -84,6 +84,31 @@ class TestWorkerLoop:
         assert FleetQueue(tmp_path).status()["pending_jobs"] == 0
 
 
+    def test_idle_heartbeat_written_at_most_once_per_interval(self, tmp_path):
+        """The claim loop polls fast, but an idle worker rewrites its
+        heartbeat file only once per ``heartbeat_s``."""
+        from repro.fleet.worker import FleetWorker
+
+        worker = FleetWorker(
+            tmp_path, poll_s=0.001, heartbeat_s=0.1, idle_exit_s=0.45
+        )
+        claims = []
+        beats = []
+        claim = worker.queue.claim
+        worker.queue.claim = lambda worker_id: claims.append(1) or claim(worker_id)
+        worker.queue.write_worker_heartbeat = (
+            lambda worker_id, state, jobs_done, extra=None: beats.append(
+                (time.monotonic(), state)
+            )
+        )
+        assert worker.run() == 0
+        idle = [at for at, state in beats if state == "idle"]
+        assert beats[-1][1] == "exited"
+        assert len(claims) > 3 * len(idle)
+        assert 1 <= len(idle) <= 5  # 0.45 s idle / 0.1 s interval, plus the first
+        assert all(b - a >= 0.1 for a, b in zip(idle, idle[1:]))
+
+
 class TestSigtermDrain:
     def test_sigterm_drains_inflight_job(self, tmp_path, job_factory):
         queue = FleetQueue(tmp_path)

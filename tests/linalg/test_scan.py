@@ -6,7 +6,6 @@ import pytest
 from repro.linalg.random import haar_random_unitary
 from repro.linalg.scan import (
     MIN_BLOCKED_STEPS,
-    backward_partial_products,
     forward_partial_products,
     scan_block_size,
 )
@@ -22,17 +21,6 @@ def _forward_reference(props: np.ndarray) -> np.ndarray:
     out = [np.eye(props.shape[-1], dtype=complex)]
     for mat in props:
         out.append(mat @ out[-1])
-    return np.stack(out)
-
-
-def _backward_reference(props: np.ndarray, init: np.ndarray) -> np.ndarray:
-    n = props.shape[0]
-    out = [None] * n
-    acc = np.asarray(init)
-    out[n - 1] = acc
-    for k in range(n - 2, -1, -1):
-        acc = acc @ props[k + 1]
-        out[k] = acc
     return np.stack(out)
 
 
@@ -99,26 +87,3 @@ class TestForwardScan:
         out = forward_partial_products(props, out=buffer)
         assert out is buffer
         np.testing.assert_allclose(out, _forward_reference(props), atol=1e-12)
-
-
-class TestBackwardScan:
-    @pytest.mark.parametrize("n_steps", [1, 2, 9, 25])
-    def test_matches_sequential_reference(self, n_steps):
-        props = _props(n_steps, 4, seed=7)
-        init = haar_random_unitary(4, seed=999).conj().T
-        out = backward_partial_products(props, init)
-        np.testing.assert_allclose(
-            out, _backward_reference(props, init), atol=1e-12
-        )
-        assert np.array_equal(out[-1], init)
-
-    def test_batched_leading_axis_is_bitwise_per_slice(self):
-        stack = np.stack([_props(16, 3, seed=50 * b) for b in range(3)])
-        inits = np.stack(
-            [haar_random_unitary(3, seed=900 + b).conj().T for b in range(3)]
-        )
-        batched = backward_partial_products(stack, inits)
-        for b in range(3):
-            assert np.array_equal(
-                batched[b], backward_partial_products(stack[b], inits[b])
-            )

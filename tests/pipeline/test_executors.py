@@ -17,6 +17,13 @@ from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
 
+
+def _pin_cpus(monkeypatch, count: int) -> None:
+    """Make the process's affinity mask hold ``count`` CPUs."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
 SETTINGS = GrapeSettings(dt_ns=0.25, target_fidelity=0.99)
 HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iterations=200)
 
@@ -100,13 +107,13 @@ class TestAutoExecutor:
     def test_policy_flags_follow_cpu_count(self, monkeypatch):
         import repro.pipeline.executors as executors_module
 
-        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: 1)
+        _pin_cpus(monkeypatch, 1)
         small = executors_module.AutoExecutor()
         assert small.prefers_inline is True
         assert small.prefers_batched is True
         assert small.speculation_helps is False
 
-        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: 8)
+        _pin_cpus(monkeypatch, 8)
         large = executors_module.AutoExecutor()
         assert large.prefers_inline is False
         assert large.prefers_batched is False
@@ -117,7 +124,7 @@ class TestAutoExecutor:
 
         import repro.pipeline.executors as executors_module
 
-        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: 2)
+        _pin_cpus(monkeypatch, 2)
         executor = executors_module.AutoExecutor()
         seen = []
         result = executor.map(
@@ -132,7 +139,7 @@ class TestAutoExecutor:
     def test_many_core_host_delegates_large_maps(self, monkeypatch):
         import repro.pipeline.executors as executors_module
 
-        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: 8)
+        _pin_cpus(monkeypatch, 8)
         executor = executors_module.AutoExecutor(max_workers=2)
         assert executor.map(_square, range(6)) == [x * x for x in range(6)]
         assert executor.delegated_maps == 1
@@ -178,7 +185,7 @@ class TestAutoExecutorDemandGrowth:
     def _executor(self, monkeypatch, cores: int, max_workers=None):
         import repro.pipeline.executors as executors_module
 
-        monkeypatch.setattr(executors_module.os, "cpu_count", lambda: cores)
+        _pin_cpus(monkeypatch, cores)
         return executors_module.AutoExecutor(max_workers)
 
     def test_first_delegation_grants_the_initial_pool(self, monkeypatch):

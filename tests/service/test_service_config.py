@@ -203,7 +203,23 @@ class TestValidation:
     def test_submit_workers_default_is_bounded(self):
         import os
 
-        assert ServiceConfig().submit_workers == min(8, os.cpu_count() or 1)
+        assert ServiceConfig().submit_workers == min(
+            8, len(os.sched_getaffinity(0))
+        )
+
+    def test_pools_size_from_the_cpus_the_process_may_use(self, monkeypatch):
+        """A process pinned to one CPU of a many-core host sizes like a
+        1-CPU host: one submit worker and inline ``auto``."""
+        import os
+
+        from repro.pipeline.executors import AutoExecutor
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert ServiceConfig().submit_workers == 1
+        auto = AutoExecutor()
+        assert auto.cpu_count == 1
+        assert auto.describe()["mode"] == "inline"
 
     def test_bad_shards_rejected(self):
         with pytest.raises(ReproError):
