@@ -84,8 +84,7 @@ def forward_partial_products(props, block_size=None, out=None):
     out[..., 0, :, :] = eye
     size = scan_block_size(n) if block_size is None else max(1, int(block_size))
     if size <= 1 or n <= size:
-        out[..., 1, :, :] = props[..., 0, :, :]
-        for k in range(1, n):
+        for k in range(n):
             np.matmul(
                 props[..., k, :, :], out[..., k, :, :], out=out[..., k + 1, :, :]
             )

@@ -83,7 +83,6 @@ class TestWorkerLoop:
         assert proc.wait(timeout=60) == 0
         assert FleetQueue(tmp_path).status()["pending_jobs"] == 0
 
-
     def test_idle_heartbeat_written_at_most_once_per_interval(self, tmp_path):
         """The claim loop polls fast, but an idle worker rewrites its
         heartbeat file only once per ``heartbeat_s``."""

@@ -17,13 +17,6 @@ from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
 
-
-def _pin_cpus(monkeypatch, count: int) -> None:
-    """Make the process's affinity mask hold ``count`` CPUs."""
-    import os
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
 SETTINGS = GrapeSettings(dt_ns=0.25, target_fidelity=0.99)
 HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iterations=200)
 
@@ -31,6 +24,13 @@ HYPER = GrapeHyperparameters(learning_rate=0.05, decay_rate=0.002, max_iteration
 def _square(x):
     """Module-level so the process pool can pickle it."""
     return x * x
+
+
+def _pin_cpus(monkeypatch, count: int) -> None:
+    """Make the process's affinity mask hold ``count`` CPUs."""
+    import os
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
 def _tile_circuit(num_qubits: int = 4) -> QuantumCircuit:

@@ -90,9 +90,8 @@ def test_gradient_matches_central_differences(seed, n_steps, scale, penalized):
         up, down = controls.copy(), controls.copy()
         up[c, k] += eps
         down[c, k] -= eps
-        fd = (cost.cost_and_gradient(up)[0] - cost.cost_and_gradient(down)[0]) / (
-            2 * eps
-        )
+        fd = cost.cost_and_gradient(up)[0] - cost.cost_and_gradient(down)[0]
+        fd /= 2 * eps
         assert abs(fd - gradient[c, k]) < 1e-5 * max(1.0, abs(fd))
 
 
