@@ -61,6 +61,7 @@ def scan_block_size(n_steps: int) -> int:
 
 @functools.lru_cache(maxsize=None)
 def _identity(dim: int) -> np.ndarray:
+    """One shared read-only identity per dimension (the scan only copies it)."""
     eye = np.eye(dim, dtype=complex)
     eye.flags.writeable = False
     return eye
