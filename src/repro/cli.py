@@ -356,17 +356,20 @@ def _cmd_config_show(args) -> int:
         ("cache_dir", "cache_dir"),
         ("cache_shards", "cache_shards"),
         ("cache_budget_mb", "cache_budget_mb"),
+        ("prefetch", "prefetch"),
         ("preset", "preset"),
         ("scheduler_state_path", "scheduler_state"),
+        ("grape_batch", "grape_batch"),
         ("grape_batch_size", "grape_batch_size"),
+        ("warm_start", "warm_start"),
         ("warm_start_max_dist", "warm_start_max_dist"),
-        ("scan_block", "scan_block"),
         ("dispatcher", "dispatcher"),
         ("fleet_dir", "fleet_dir"),
         ("fleet_workers", "fleet_workers"),
         ("queue_depth", "queue_depth"),
         ("fleet_lease_ttl_s", "fleet_lease_ttl"),
         ("fleet_heartbeat_s", "fleet_heartbeat"),
+        ("fleet_autoscale", "fleet_autoscale"),
         ("fleet_min_workers", "fleet_min_workers"),
         ("fleet_max_workers", "fleet_max_workers"),
         ("server_host", "server_host"),
@@ -378,18 +381,6 @@ def _cmd_config_show(args) -> int:
         if value is not None:
             overrides[field_name] = value
             sources[field_name] = "CLI"
-    if getattr(args, "prefetch", None) is not None:
-        overrides["prefetch"] = args.prefetch
-        sources["prefetch"] = "CLI"
-    if getattr(args, "fleet_autoscale", None) is not None:
-        overrides["fleet_autoscale"] = args.fleet_autoscale
-        sources["fleet_autoscale"] = "CLI"
-    if getattr(args, "grape_batch", None) is not None:
-        overrides["grape_batch"] = args.grape_batch
-        sources["grape_batch"] = "CLI"
-    if getattr(args, "warm_start", None) is not None:
-        overrides["warm_start"] = args.warm_start
-        sources["warm_start"] = "CLI"
     try:
         config = config.replace(**overrides) if overrides else config
     except ReproError as exc:
@@ -1162,14 +1153,6 @@ def build_parser() -> argparse.ArgumentParser:
         dest="warm_start_max_dist",
         help="warm_start_max_dist override (neighbor acceptance "
         "threshold, phase-invariant trace distance in (0, 1])",
-    )
-    show.add_argument(
-        "--scan-block",
-        type=int,
-        default=None,
-        dest="scan_block",
-        help="scan_block override (blocked propagator-scan chunk length; "
-        "unset keeps the auto sqrt heuristic)",
     )
     show.add_argument(
         "--dispatcher",

@@ -20,9 +20,8 @@ Two backends are provided:
   network filesystem.  The library also carries the index, the LRU/budget
   ``gc()``, and the one-time migration of legacy flat directories.
 
-:func:`default_pulse_cache` picks the backend from the active
-:class:`repro.config.PipelineConfig` (``cache_dir`` setting /
-``REPRO_CACHE_DIR``).
+:func:`default_pulse_cache` picks the backend from ``REPRO_CACHE_DIR``
+(:func:`repro.config.env_config`).
 """
 
 from __future__ import annotations
@@ -501,16 +500,15 @@ class PersistentPulseCache(PulseCache):
 
 
 def default_pulse_cache() -> PulseCache:
-    """The cache backend selected by the active pipeline configuration.
+    """The cache backend selected by the environment.
 
-    With ``cache_dir`` unset (the default) this is the seed's in-memory
-    cache; with a directory configured (``REPRO_CACHE_DIR`` or
-    :func:`repro.config.set_pipeline_config`), GRAPE results persist across
-    processes.
+    With ``REPRO_CACHE_DIR`` unset (the default) this is the seed's
+    in-memory cache; with a directory configured, GRAPE results persist
+    across processes.
     """
-    from repro.config import get_pipeline_config
+    from repro.config import env_config
 
-    cache_dir = get_pipeline_config().cache_dir
+    cache_dir = env_config().cache_dir
     if cache_dir:
         return PersistentPulseCache(cache_dir)
     return PulseCache()

@@ -68,8 +68,8 @@ class BlockPulseCompiler:
         self.settings = settings or GrapeSettings()
         self.hyperparameters = hyperparameters or GrapeHyperparameters()
         self.cache = cache if cache is not None else default_pulse_cache()
-        # ``None`` defers to the active pipeline configuration at search
-        # time (the service passes its own config values explicitly).
+        # ``None`` defers to the environment (``repro.config.env_config``)
+        # at search time; the service passes its own config values.
         self.warm_start = warm_start
         self.warm_start_max_dist = warm_start_max_dist
 
@@ -204,9 +204,9 @@ class BlockPulseCompiler:
         blocks only) the analytic KAK seed, then nothing — the caller runs
         a cold search.  Every branch is counted under ``grape.warm_start``.
         """
-        from repro.config import get_pipeline_config
+        from repro.config import env_config
 
-        config = get_pipeline_config()
+        config = env_config()
         enabled = (
             config.warm_start if self.warm_start is None else self.warm_start
         )
@@ -379,13 +379,14 @@ class BlockPulseCompiler:
         block that needs no GRAPE.
 
         Deferred-to-runtime knobs are materialized here: preset-resolved
-        GRAPE settings, the warm-start policy from the active pipeline
-        configuration, and the preset name itself — so the job compiles
-        identically in a process that never saw this configuration.
+        GRAPE settings, the warm-start policy (the environment's when this
+        compiler leaves it ``None``), and the preset name itself — so the
+        job compiles identically in a process that never saw this
+        configuration.
         ``key`` skips recomputing a dedup identity the caller already
         paid for (the batch scheduler always has one).
         """
-        from repro.config import get_pipeline_config, get_preset
+        from repro.config import env_config, get_preset
         from repro.pipeline.jobs import BlockJob
 
         if subcircuit.is_parameterized():
@@ -399,7 +400,7 @@ class BlockPulseCompiler:
         fid_target = self.settings.resolved_target()
         if key is None:
             key = self.cache.key(target, control_set, dt, fid_target)
-        config = get_pipeline_config()
+        config = env_config()
         warm = config.warm_start if self.warm_start is None else self.warm_start
         max_dist = (
             config.warm_start_max_dist

@@ -84,16 +84,13 @@ def _tune_parametrized_block(
     decay_grid: tuple,
     seed: int,
     tuning_strategy: str,
-    probe_executor,
     task: BlockTask,
 ) -> _ParametrizedEntry:
     """Precompute phase for one single-θ block (picklable pulse handler).
 
     Establishes the working pulse duration with a minimum-time probe on the
     first sample target, then tunes the optimizer hyperparameters over the
-    sample angles (paper section 7.2).  ``probe_executor`` (an executor
-    *name*, so the handler stays picklable) parallelizes the probe's
-    feasibility doublings for blocks whose initial bound is infeasible.
+    sample angles (paper section 7.2).
     """
     sub = task.subcircuit
     dt = settings.resolved_dt()
@@ -108,7 +105,6 @@ def _tune_parametrized_block(
         upper_bound_ns=max(gate_ns, dt),
         hyperparameters=hyperparameters,
         settings=settings,
-        probe_executor=probe_executor,
     )
     if probe.converged and probe.duration_ns <= gate_ns:
         num_steps = probe.schedule.num_steps
@@ -247,7 +243,6 @@ class _FlexiblePartialCompiler:
         seed: int = 11,
         tuning_strategy: str = "grid",
         executor=None,
-        probe_executor: str | None = None,
     ) -> "FlexiblePartialCompiler":
         """Slice, precompile fixed blocks, and tune parametrized blocks.
 
@@ -256,11 +251,6 @@ class _FlexiblePartialCompiler:
         :mod:`repro.core.search` ("random", "halving", "rbf").
         ``executor`` parallelizes the per-block work — both the Fixed-block
         GRAPE searches and the per-θ tuning runs are independent.
-        ``probe_executor`` (an executor *name*, e.g. ``"thread"``)
-        additionally parallelizes the feasibility-doubling probes *within*
-        each parametrized block's minimum-time search — useful when a few
-        hard blocks dominate precompute latency; the binary-search probes
-        stay sequential by design.
         """
         device = device or default_device_for(circuit)
         settings = settings or GrapeSettings()
@@ -280,7 +270,6 @@ class _FlexiblePartialCompiler:
             decay_rates or DEFAULT_DECAY_RATES,
             seed,
             tuning_strategy,
-            probe_executor,
         )
         pipeline = flexible_precompile_pipeline(
             block_compiler, tuner, flexible_slices, max_block_width, executor
@@ -312,7 +301,6 @@ class _FlexiblePartialCompiler:
         seed: int = 11,
         tuning_strategy: str = "grid",
         executor=None,
-        probe_executor: str | None = None,
         state=None,
     ) -> list:
         """Precompile a batch of ansätze, sharing Fixed blocks across them.
@@ -349,7 +337,6 @@ class _FlexiblePartialCompiler:
             decay_rates or DEFAULT_DECAY_RATES,
             seed,
             tuning_strategy,
-            probe_executor,
         )
         pipeline = flexible_precompile_pipeline(
             block_compiler, tuner, flexible_slices, max_block_width, executor

@@ -121,9 +121,9 @@ class GCReport:
 
 def _resolve_shards(shards: int | None) -> int:
     if shards is None:
-        from repro.config import get_pipeline_config
+        from repro.config import env_config
 
-        shards = get_pipeline_config().cache_shards
+        shards = env_config().cache_shards
     if shards not in VALID_SHARD_COUNTS:
         raise ReproError(
             f"cache shard count must be one of {VALID_SHARD_COUNTS}, got {shards!r}"
@@ -145,12 +145,12 @@ class PulseLibrary:
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        from repro.config import get_pipeline_config
+        from repro.config import env_config
 
         if budget_mb is None:
-            budget_mb = get_pipeline_config().cache_budget_mb
+            budget_mb = env_config().cache_budget_mb
         if prefetch is None:
-            prefetch = get_pipeline_config().prefetch
+            prefetch = env_config().prefetch
         self.budget_mb = budget_mb
         self._global_lock = FileLock(self.directory / ".lock")
         self.migrated_entries = 0

@@ -43,17 +43,9 @@ def scan_block_size(n_steps: int) -> int:
     """The default chunk length for an ``n_steps`` scan (``≈ √n_steps``).
 
     Returns 1 — meaning "scan sequentially" — for short scans.  Depends on
-    ``n_steps`` and the active pipeline configuration only, so a
-    cross-block batched scan and a per-block scan of the same pulse length
-    chunk (and therefore reassociate) identically.  The ``scan_block``
-    config field (``REPRO_SCAN_BLOCK``) pins the chunk length for cache
-    tuning on unusual hosts; unset keeps the ``√n_steps`` heuristic.
+    ``n_steps`` only, so a cross-block batched scan and a per-block scan of
+    the same pulse length chunk (and therefore reassociate) identically.
     """
-    from repro.config import get_pipeline_config
-
-    override = get_pipeline_config().scan_block
-    if override is not None:
-        return max(1, min(int(override), n_steps))
     if n_steps < MIN_BLOCKED_STEPS:
         return 1
     return max(2, int(round(math.sqrt(n_steps))))

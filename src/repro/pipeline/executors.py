@@ -49,7 +49,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Iterable
 
-from repro.config import EXECUTOR_CHOICES, get_pipeline_config
+from repro.config import EXECUTOR_CHOICES, env_config
 from repro.errors import PipelineError
 from repro.perf import get_perf_registry
 from repro.service.config import usable_cpu_count
@@ -106,10 +106,6 @@ class BlockExecutor(Dispatcher):
     #: False for the pool executors — stacking would serialize work the pool
     #: could genuinely overlap.
     prefers_batched = False
-    #: Whether speculative feasibility-doubling probes (see
-    #: :func:`repro.pulse.grape.time_search.minimum_time_pulse`) are worth
-    #: their extra GRAPE iterations on this executor.
-    speculation_helps = True
 
     def map(self, fn: Callable, items: Iterable) -> list:
         """Apply ``fn`` to every item, returning results in input order."""
@@ -147,7 +143,7 @@ class _PoolBlockExecutor(BlockExecutor):
 
     def __init__(self, max_workers: int | None = None):
         if max_workers is None:
-            max_workers = get_pipeline_config().max_workers
+            max_workers = env_config().max_workers
         self.max_workers = max_workers or usable_cpu_count()
 
     def describe(self) -> dict:
@@ -350,16 +346,14 @@ class AutoExecutor(BlockExecutor):
     The right executor depends on the host, not the workload author: on a
     1–2 CPU machine every pool loses to serial (pool startup and IPC with
     no cores to win back — the measured pipeline benches showed 0.88–0.96×
-    for pools and speculation there), while on a many-core host the
+    for pools there), while on a many-core host the
     persistent thread pool wins for large maps.  ``auto`` decides per host
     and per map:
 
     * at most 2 usable CPUs (the process's affinity mask) → *inline
       mode*: every map runs in the calling thread, the scheduler is told
       to prefer the cross-block **batched** GRAPE kernel (big GEMMs are
-      the only parallelism that pays here), and speculative time-search
-      probes are declined (they only trade extra GRAPE work for
-      wall-clock when cores are free).
+      the only parallelism that pays here).
     * otherwise → maps of ≥3 items delegate to the shared
       ``thread-persistent`` pool (threads keep in-memory pulse-cache writes
       visible, unlike processes, so auto never silently changes caching
@@ -385,7 +379,6 @@ class AutoExecutor(BlockExecutor):
         self.cpu_count = usable_cpu_count()
         self.prefers_inline = self.cpu_count <= 2
         self.prefers_batched = self.prefers_inline
-        self.speculation_helps = not self.prefers_inline
         self.inline_maps = 0
         self.delegated_maps = 0
         self.largest_map = 0
@@ -481,8 +474,8 @@ def resolve_executor(
     """Turn an executor spec into an executor instance.
 
     ``spec`` may be an executor instance (returned as-is), one of the names
-    in :data:`repro.config.EXECUTOR_CHOICES`, or ``None`` to use the active
-    pipeline configuration (``REPRO_EXECUTOR``, default serial).  The
+    in :data:`repro.config.EXECUTOR_CHOICES`, or ``None`` for the
+    environment's choice (``REPRO_EXECUTOR``, default ``auto``).  The
     stateless names resolve to fresh instances; the ``*-persistent`` names
     resolve to one shared instance per (name, worker count) so the pool
     survives — and amortizes across — repeated ``compile`` calls.
@@ -490,7 +483,7 @@ def resolve_executor(
     if isinstance(spec, BlockExecutor):
         return spec
     if spec is None:
-        spec = get_pipeline_config().executor
+        spec = env_config().executor
     if spec == "serial":
         return SerialExecutor()
     if spec == "auto":
@@ -501,11 +494,10 @@ def resolve_executor(
         return ProcessPoolBlockExecutor(max_workers)
     if spec in _PERSISTENT_CLASSES:
         # Normalize the worker count before keying: ``None`` means "the
-        # configured/default count *right now*", so an explicit request for
-        # that same count aliases the same pool, and a later config change
-        # resolves to a new key (new pool) instead of a stale one.
+        # environment's/default count", so an explicit request for that
+        # same count aliases the same pool.
         if max_workers is None:
-            workers = get_pipeline_config().max_workers or usable_cpu_count()
+            workers = env_config().max_workers or usable_cpu_count()
         else:
             workers = max_workers
         key = (spec, workers)

@@ -139,7 +139,7 @@ class CompilationPipeline:
 
         ``grape_batch`` / ``grape_batch_size`` override the configured
         cross-block batched-GRAPE dispatch for this pass's scheduler
-        (``None`` defers to the pipeline config; both are ignored when a
+        (``None`` defers to the environment; both are ignored when a
         caller-owned ``scheduler`` is supplied).
         """
         from repro.pipeline.scheduler import BlockScheduler

@@ -417,7 +417,7 @@ class BlockScheduler:
         grape_batch: bool | None = None,
         grape_batch_size: int | None = None,
     ):
-        from repro.config import get_pipeline_config
+        from repro.config import env_config
         from repro.pipeline.strategies import compile_fixed_block
 
         self.block_compiler = block_compiler
@@ -426,10 +426,10 @@ class BlockScheduler:
         # ``state`` makes the scheduler long-lived: representatives compiled
         # in one ``run`` are remembered and served for free in the next.
         self.state = state
-        # Cross-block batched GRAPE dispatch (``None`` → configuration):
+        # Cross-block batched GRAPE dispatch (``None`` → environment):
         # when the executor runs tasks inline, same-shape representatives
         # are stacked through the batched kernel instead of mapped.
-        config = get_pipeline_config()
+        config = env_config()
         self.grape_batch = (
             config.grape_batch if grape_batch is None else bool(grape_batch)
         )

@@ -204,7 +204,7 @@ def optimize_pulse_batch(
     perf.count("grape.batch.stacked_calls")
     # GEMM-size telemetry: how many d×d matrices each stacked hot
     # contraction fuses (the whole point of batching).
-    perf.record_seconds("grape.batch.gemm_matrices", float(batch * num_steps))
+    perf.count("grape.batch.gemm_matrices", batch * num_steps)
 
     optimizers = [hyper.make_optimizer() for _ in range(batch)]
     history: list = [[] for _ in range(batch)]
@@ -282,11 +282,11 @@ def optimize_pulse_batch(
 class _SearchState:
     """One block's minimum-time search, re-expressed as a state machine.
 
-    Replays the decision sequence of the *sequential*
-    :func:`~repro.pulse.grape.time_search.minimum_time_pulse` path
-    (``probe_executor=None``) exactly: trial probes at the bound and its
-    half, lazy feasibility doublings, then the binary search, each probe
-    warm-started from the same schedule the sequential code would use.
+    Replays the decision sequence of
+    :func:`~repro.pulse.grape.time_search.minimum_time_pulse` exactly:
+    trial probes at the bound and its half, lazy feasibility doublings,
+    then the binary search, each probe warm-started from the same
+    schedule the sequential code would use.
     ``next_probe``/``feed`` split the loop so a driver can interleave many
     blocks' probes and batch the ones that share a step count.
     """
@@ -485,9 +485,6 @@ def minimum_time_pulse_batch(
             members = by_steps[steps]
             for offset in range(0, len(members), max_group):
                 chunk = members[offset : offset + max_group]
-                perf.record_seconds(
-                    "grape.batch.blocks_per_group", float(len(chunk))
-                )
                 if len(chunk) == 1:
                     i, initial = chunk[0]
                     perf.count("grape.batch.singleton_probes")
@@ -517,18 +514,33 @@ def minimum_time_pulse_batch(
     return [state.result() for state in states]
 
 
+def _total_and_mean(total: int, per: int) -> dict:
+    return {"total": total, "mean": round(total / per, 6) if per else 0.0}
+
+
 def batch_telemetry() -> dict:
-    """JSON-ready snapshot of the batched-kernel perf counters."""
+    """JSON-ready snapshot of the batched-kernel perf counters.
+
+    ``blocks_per_group`` counts blocks over every probe group a batched
+    search formed (singletons included); ``gemm_matrices`` counts the
+    ``d×d`` matrices each stacked kernel call fuses, per stacked call.
+    """
     perf = get_perf_registry()
-    per_group = perf.timer_stats("grape.batch.blocks_per_group")
-    gemm = perf.timer_stats("grape.batch.gemm_matrices")
+    groups = perf.counter("grape.batch.groups")
+    batched = perf.counter("grape.batch.batched_blocks")
+    singletons = perf.counter("grape.batch.singleton_probes")
+    stacked = perf.counter("grape.batch.stacked_calls")
     return {
-        "groups": perf.counter("grape.batch.groups"),
-        "batched_blocks": perf.counter("grape.batch.batched_blocks"),
-        "singleton_probes": perf.counter("grape.batch.singleton_probes"),
-        "stacked_calls": perf.counter("grape.batch.stacked_calls"),
-        "blocks_per_group": per_group.as_dict() if per_group else None,
-        "gemm_matrices": gemm.as_dict() if gemm else None,
+        "groups": groups,
+        "batched_blocks": batched,
+        "singleton_probes": singletons,
+        "stacked_calls": stacked,
+        "blocks_per_group": _total_and_mean(
+            batched + singletons, groups + singletons
+        ),
+        "gemm_matrices": _total_and_mean(
+            perf.counter("grape.batch.gemm_matrices"), stacked
+        ),
     }
 
 

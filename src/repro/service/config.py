@@ -2,8 +2,10 @@
 
 :class:`ServiceConfig` consolidates every ``REPRO_*`` environment knob —
 executor, worker count, cache directory/sharding/budget, prefetch, preset,
-scheduler-state spill path, GRAPE batching, warm-start seeding, scan block
-size — into one frozen dataclass.
+scheduler-state spill path, GRAPE batching, warm-start seeding, fleet and
+server settings — into one frozen dataclass.  It is the only config
+object: a service passes its fields down explicitly, and code built
+without one reads :func:`repro.config.env_config`.
 :meth:`ServiceConfig.from_env` is the **only** code path in the whole
 package that reads ``REPRO_*`` environment variables (a repo test greps
 for strays), so "what configuration am I actually running with?" always
@@ -62,55 +64,92 @@ class ReproDeprecationWarning(DeprecationWarning):
     """
 
 
-def _env_number(
-    env_name: str,
-    field_name: str,
-    kind,
-    valid,
-    requirement: str,
-    values: dict,
-    sources: dict,
-) -> None:
-    """Parse one numeric env var with the standard tolerant behaviour:
-    unset/empty keeps the default, malformed or out-of-range warns."""
-    raw = os.environ.get(env_name)
-    if not raw:
-        return
-    try:
-        value = kind(raw)
-    except ValueError:
-        noun = "an integer" if kind is int else "a number"
-        warnings.warn(
-            f"ignoring {env_name}={raw!r} (not {noun})", stacklevel=4
-        )
-        return
-    if not valid(value):
-        warnings.warn(
-            f"ignoring {env_name}={value} ({requirement})", stacklevel=4
-        )
-        return
-    values[field_name] = value
-    sources[field_name] = "env"
-
-
-def _env_bool(
-    env_name: str, field_name: str, values: dict, sources: dict
-) -> None:
-    """Parse one boolean env var (same spellings as REPRO_PREFETCH)."""
-    raw = os.environ.get(env_name, "")
-    if not raw:
-        return
+def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
-        values[field_name] = True
-        sources[field_name] = "env"
-    elif lowered in ("0", "false", "no", "off"):
-        values[field_name] = False
-        sources[field_name] = "env"
-    else:
-        warnings.warn(
-            f"ignoring {env_name}={raw!r} (expected a boolean)", stacklevel=4
-        )
+        return True
+    if lowered in ("0", "false", "no", "off"):
+        return False
+    raise ValueError("expected a boolean")
+
+
+def _parse_number(kind, valid, requirement: str):
+    """A parser for one numeric env var that rejects malformed or
+    out-of-range values with the reason as the message."""
+
+    def parse(raw: str):
+        try:
+            value = kind(raw)
+        except ValueError:
+            raise ValueError(
+                "not an integer" if kind is int else "not a number"
+            ) from None
+        if not valid(value):
+            raise ValueError(requirement)
+        return value
+
+    return parse
+
+
+def _parse_choice(choices: tuple):
+    def parse(raw: str):
+        if raw not in choices:
+            raise ValueError(f"available: {choices}")
+        return raw
+
+    return parse
+
+
+_AT_LEAST_ONE = _parse_number(int, lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = _parse_number(int, lambda v: v >= 0, "must be >= 0")
+_POSITIVE = _parse_number(float, lambda v: v > 0, "must be positive")
+
+#: Every ``REPRO_*`` knob: (variable, field, parser).  A parser raises
+#: ``ValueError`` with the reason when the value is unusable.
+_ENV_FIELDS = (
+    ("REPRO_EXECUTOR", "executor", _parse_choice(EXECUTOR_CHOICES)),
+    ("REPRO_MAX_WORKERS", "max_workers", _AT_LEAST_ONE),
+    ("REPRO_SUBMIT_WORKERS", "submit_workers", _AT_LEAST_ONE),
+    ("REPRO_CACHE_DIR", "cache_dir", str),
+    (
+        "REPRO_CACHE_SHARDS",
+        "cache_shards",
+        _parse_number(
+            int,
+            lambda v: v in CACHE_SHARD_CHOICES,
+            f"available: {CACHE_SHARD_CHOICES}",
+        ),
+    ),
+    ("REPRO_CACHE_BUDGET_MB", "cache_budget_mb", _POSITIVE),
+    ("REPRO_PREFETCH", "prefetch", _parse_bool),
+    ("REPRO_PRESET", "preset", str),
+    ("REPRO_SCHEDULER_STATE", "scheduler_state_path", str),
+    ("REPRO_GRAPE_BATCH", "grape_batch", _parse_bool),
+    ("REPRO_GRAPE_BATCH_SIZE", "grape_batch_size", _AT_LEAST_ONE),
+    ("REPRO_WARM_START", "warm_start", _parse_bool),
+    (
+        "REPRO_WARM_START_MAX_DIST",
+        "warm_start_max_dist",
+        _parse_number(float, lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    ),
+    ("REPRO_DISPATCHER", "dispatcher", _parse_choice(DISPATCHER_CHOICES)),
+    ("REPRO_FLEET_DIR", "fleet_dir", str),
+    ("REPRO_FLEET_WORKERS", "fleet_workers", _NON_NEGATIVE),
+    ("REPRO_QUEUE_DEPTH", "queue_depth", _AT_LEAST_ONE),
+    ("REPRO_FLEET_LEASE_TTL", "fleet_lease_ttl_s", _POSITIVE),
+    ("REPRO_FLEET_HEARTBEAT", "fleet_heartbeat_s", _POSITIVE),
+    ("REPRO_FLEET_AUTOSCALE", "fleet_autoscale", _parse_bool),
+    ("REPRO_FLEET_MIN_WORKERS", "fleet_min_workers", _NON_NEGATIVE),
+    ("REPRO_FLEET_MAX_WORKERS", "fleet_max_workers", _AT_LEAST_ONE),
+    ("REPRO_SERVER_HOST", "server_host", str),
+    (
+        "REPRO_SERVER_PORT",
+        "server_port",
+        _parse_number(int, lambda v: 0 <= v <= 65535, "must be in [0, 65535]"),
+    ),
+    ("REPRO_SERVER_MAX_BODY_MB", "server_max_body_mb", _POSITIVE),
+    ("REPRO_SERVER_TICKET_TTL", "server_ticket_ttl_s", _POSITIVE),
+)
 
 
 def warn_deprecated(old: str, strategy: str) -> None:
@@ -172,9 +211,11 @@ class ServiceConfig:
         Manifest-aware shard prefetch for the on-disk pulse library
         (``REPRO_PREFETCH``).
     preset:
-        The active workload preset name (``REPRO_PRESET``); validated
-        lazily by :func:`repro.config.get_preset` so an unknown name only
-        errors when actually used.
+        The workload preset the service expects (``REPRO_PRESET``).  The
+        preset itself is process-wide (:func:`repro.config.set_preset`):
+        ``None`` (default) accepts whichever is active, and a
+        :class:`~repro.service.CompilationService` given any other name
+        refuses to start unless that preset is the active one.
     scheduler_state_path:
         Where the service spills its cross-call block-dedup memory
         (``REPRO_SCHEDULER_STATE``).  When set, a new
@@ -205,11 +246,6 @@ class ServiceConfig:
         ``sqrt(1 - |tr(U†V)|/d)`` between the targets is at most this, in
         ``(0, 1]``.  ``1.0`` accepts any same-context pulse; the default
         0.25 keeps seeds to genuinely nearby unitaries.
-    scan_block:
-        Fixed block size for the blocked propagator scan of
-        :mod:`repro.linalg.scan` (``REPRO_SCAN_BLOCK``).  ``None`` (the
-        default) keeps the auto heuristic (``≈√n_steps``); setting it
-        pins the chunk length for cache tuning on unusual hosts.
     dispatcher:
         Where fixed-block jobs are compiled (``REPRO_DISPATCHER``):
         ``"executor"`` (default) keeps them on the in-process block
@@ -270,13 +306,12 @@ class ServiceConfig:
     cache_shards: int = 16
     cache_budget_mb: float | None = None
     prefetch: bool = False
-    preset: str = "ci"
+    preset: str | None = None
     scheduler_state_path: str | None = None
     grape_batch: bool = True
     grape_batch_size: int = 16
     warm_start: bool = True
     warm_start_max_dist: float = 0.25
-    scan_block: int | None = None
     dispatcher: str = "executor"
     fleet_dir: str | None = None
     fleet_workers: int = 0
@@ -319,10 +354,6 @@ class ServiceConfig:
             raise ReproError(
                 "warm_start_max_dist must be in (0, 1], "
                 f"got {self.warm_start_max_dist}"
-            )
-        if self.scan_block is not None and self.scan_block < 1:
-            raise ReproError(
-                f"scan_block must be >= 1, got {self.scan_block}"
             )
         if self.dispatcher not in DISPATCHER_CHOICES:
             raise ReproError(
@@ -389,7 +420,7 @@ class ServiceConfig:
 
         The single supported env-reading path: every other module obtains
         environment-derived settings through this constructor (directly or
-        via :mod:`repro.config`'s compatibility wrappers).
+        via :func:`repro.config.env_config`).
         """
         config, _sources = cls.from_env_with_sources()
         return config
@@ -403,310 +434,16 @@ class ServiceConfig:
         """
         values: dict = {}
         sources = {f.name: "default" for f in fields(cls)}
-
-        executor = os.environ.get("REPRO_EXECUTOR")
-        if executor is not None:
-            if executor in EXECUTOR_CHOICES:
-                values["executor"] = executor
-                sources["executor"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_EXECUTOR={executor!r}; "
-                    f"available: {EXECUTOR_CHOICES}",
-                    stacklevel=3,
-                )
-
-        workers_raw = os.environ.get("REPRO_MAX_WORKERS")
-        if workers_raw:
+        for env_name, field_name, parse in _ENV_FIELDS:
+            raw = os.environ.get(env_name)
+            if not raw:
+                continue
             try:
-                workers = int(workers_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_MAX_WORKERS={workers_raw!r} (not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if workers < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_MAX_WORKERS={workers} (must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["max_workers"] = workers
-                    sources["max_workers"] = "env"
-
-        submit_raw = os.environ.get("REPRO_SUBMIT_WORKERS")
-        if submit_raw:
-            try:
-                submit_workers = int(submit_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_SUBMIT_WORKERS={submit_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if submit_workers < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_SUBMIT_WORKERS={submit_workers} "
-                        "(must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["submit_workers"] = submit_workers
-                    sources["submit_workers"] = "env"
-
-        cache_dir = os.environ.get("REPRO_CACHE_DIR")
-        if cache_dir:
-            values["cache_dir"] = cache_dir
-            sources["cache_dir"] = "env"
-
-        shards_raw = os.environ.get("REPRO_CACHE_SHARDS")
-        if shards_raw:
-            try:
-                candidate = int(shards_raw)
-            except ValueError:
-                candidate = None
-            if candidate in CACHE_SHARD_CHOICES:
-                values["cache_shards"] = candidate
-                sources["cache_shards"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_CACHE_SHARDS={shards_raw!r}; "
-                    f"available: {CACHE_SHARD_CHOICES}",
-                    stacklevel=3,
-                )
-
-        budget_raw = os.environ.get("REPRO_CACHE_BUDGET_MB")
-        if budget_raw:
-            try:
-                budget = float(budget_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_CACHE_BUDGET_MB={budget_raw!r} (not a number)",
-                    stacklevel=3,
-                )
-            else:
-                if budget <= 0:
-                    warnings.warn(
-                        f"ignoring REPRO_CACHE_BUDGET_MB={budget} (must be positive)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["cache_budget_mb"] = budget
-                    sources["cache_budget_mb"] = "env"
-
-        prefetch_raw = os.environ.get("REPRO_PREFETCH", "")
-        if prefetch_raw:
-            lowered = prefetch_raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                values["prefetch"] = True
-                sources["prefetch"] = "env"
-            elif lowered in ("0", "false", "no", "off"):
-                values["prefetch"] = False
-                sources["prefetch"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_PREFETCH={prefetch_raw!r} (expected a boolean)",
-                    stacklevel=3,
-                )
-
-        preset = os.environ.get("REPRO_PRESET")
-        if preset:
-            values["preset"] = preset
-            sources["preset"] = "env"
-
-        state_path = os.environ.get("REPRO_SCHEDULER_STATE")
-        if state_path:
-            values["scheduler_state_path"] = state_path
-            sources["scheduler_state_path"] = "env"
-
-        batch_raw = os.environ.get("REPRO_GRAPE_BATCH", "")
-        if batch_raw:
-            lowered = batch_raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                values["grape_batch"] = True
-                sources["grape_batch"] = "env"
-            elif lowered in ("0", "false", "no", "off"):
-                values["grape_batch"] = False
-                sources["grape_batch"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_GRAPE_BATCH={batch_raw!r} "
-                    "(expected a boolean)",
-                    stacklevel=3,
-                )
-
-        batch_size_raw = os.environ.get("REPRO_GRAPE_BATCH_SIZE")
-        if batch_size_raw:
-            try:
-                batch_size = int(batch_size_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_GRAPE_BATCH_SIZE={batch_size_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if batch_size < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_GRAPE_BATCH_SIZE={batch_size} "
-                        "(must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["grape_batch_size"] = batch_size
-                    sources["grape_batch_size"] = "env"
-
-        warm_raw = os.environ.get("REPRO_WARM_START", "")
-        if warm_raw:
-            lowered = warm_raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                values["warm_start"] = True
-                sources["warm_start"] = "env"
-            elif lowered in ("0", "false", "no", "off"):
-                values["warm_start"] = False
-                sources["warm_start"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_WARM_START={warm_raw!r} "
-                    "(expected a boolean)",
-                    stacklevel=3,
-                )
-
-        dist_raw = os.environ.get("REPRO_WARM_START_MAX_DIST")
-        if dist_raw:
-            try:
-                dist = float(dist_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_WARM_START_MAX_DIST={dist_raw!r} "
-                    "(not a number)",
-                    stacklevel=3,
-                )
-            else:
-                if not 0.0 < dist <= 1.0:
-                    warnings.warn(
-                        f"ignoring REPRO_WARM_START_MAX_DIST={dist} "
-                        "(must be in (0, 1])",
-                        stacklevel=3,
-                    )
-                else:
-                    values["warm_start_max_dist"] = dist
-                    sources["warm_start_max_dist"] = "env"
-
-        scan_raw = os.environ.get("REPRO_SCAN_BLOCK")
-        if scan_raw:
-            try:
-                scan_block = int(scan_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_SCAN_BLOCK={scan_raw!r} (not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if scan_block < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_SCAN_BLOCK={scan_block} (must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["scan_block"] = scan_block
-                    sources["scan_block"] = "env"
-
-        dispatcher = os.environ.get("REPRO_DISPATCHER")
-        if dispatcher is not None:
-            if dispatcher in DISPATCHER_CHOICES:
-                values["dispatcher"] = dispatcher
-                sources["dispatcher"] = "env"
-            else:
-                warnings.warn(
-                    f"ignoring REPRO_DISPATCHER={dispatcher!r}; "
-                    f"available: {DISPATCHER_CHOICES}",
-                    stacklevel=3,
-                )
-
-        fleet_dir = os.environ.get("REPRO_FLEET_DIR")
-        if fleet_dir:
-            values["fleet_dir"] = fleet_dir
-            sources["fleet_dir"] = "env"
-
-        fleet_raw = os.environ.get("REPRO_FLEET_WORKERS")
-        if fleet_raw:
-            try:
-                fleet_workers = int(fleet_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_FLEET_WORKERS={fleet_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if fleet_workers < 0:
-                    warnings.warn(
-                        f"ignoring REPRO_FLEET_WORKERS={fleet_workers} "
-                        "(must be >= 0)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["fleet_workers"] = fleet_workers
-                    sources["fleet_workers"] = "env"
-
-        depth_raw = os.environ.get("REPRO_QUEUE_DEPTH")
-        if depth_raw:
-            try:
-                queue_depth = int(depth_raw)
-            except ValueError:
-                warnings.warn(
-                    f"ignoring REPRO_QUEUE_DEPTH={depth_raw!r} "
-                    "(not an integer)",
-                    stacklevel=3,
-                )
-            else:
-                if queue_depth < 1:
-                    warnings.warn(
-                        f"ignoring REPRO_QUEUE_DEPTH={queue_depth} "
-                        "(must be >= 1)",
-                        stacklevel=3,
-                    )
-                else:
-                    values["queue_depth"] = queue_depth
-                    sources["queue_depth"] = "env"
-
-        _env_number(
-            "REPRO_FLEET_LEASE_TTL", "fleet_lease_ttl_s", float,
-            lambda v: v > 0, "must be positive", values, sources,
-        )
-        _env_number(
-            "REPRO_FLEET_HEARTBEAT", "fleet_heartbeat_s", float,
-            lambda v: v > 0, "must be positive", values, sources,
-        )
-        _env_bool("REPRO_FLEET_AUTOSCALE", "fleet_autoscale", values, sources)
-        _env_number(
-            "REPRO_FLEET_MIN_WORKERS", "fleet_min_workers", int,
-            lambda v: v >= 0, "must be >= 0", values, sources,
-        )
-        _env_number(
-            "REPRO_FLEET_MAX_WORKERS", "fleet_max_workers", int,
-            lambda v: v >= 1, "must be >= 1", values, sources,
-        )
-        server_host = os.environ.get("REPRO_SERVER_HOST")
-        if server_host:
-            values["server_host"] = server_host
-            sources["server_host"] = "env"
-        _env_number(
-            "REPRO_SERVER_PORT", "server_port", int,
-            lambda v: 0 <= v <= 65535, "must be in [0, 65535]",
-            values, sources,
-        )
-        _env_number(
-            "REPRO_SERVER_MAX_BODY_MB", "server_max_body_mb", float,
-            lambda v: v > 0, "must be positive", values, sources,
-        )
-        _env_number(
-            "REPRO_SERVER_TICKET_TTL", "server_ticket_ttl_s", float,
-            lambda v: v > 0, "must be positive", values, sources,
-        )
+                values[field_name] = parse(raw)
+            except ValueError as exc:
+                warnings.warn(f"ignoring {env_name}={raw!r} ({exc})", stacklevel=3)
+                continue
+            sources[field_name] = "env"
 
         # Cross-field constraints stay tolerant here (this runs at import
         # time): a combination the constructor would reject falls back to
@@ -744,3 +481,4 @@ class ServiceConfig:
     def as_dict(self) -> dict:
         """Field → value, in declaration order (for stats and the CLI)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+

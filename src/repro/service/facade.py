@@ -78,19 +78,33 @@ class CompilationService:
         default_strategy: str = "full-grape",
         max_block_width: int | None = None,
     ):
+        from repro.config import get_preset
         from repro.core.cache import PersistentPulseCache, PulseCache
         from repro.pipeline.executors import resolve_executor
         from repro.pipeline.plan import PlanCache
         from repro.pipeline.scheduler import SchedulerState
 
         self.config = config if config is not None else ServiceConfig.from_env()
+        wanted = self.config.preset
+        if wanted is not None and wanted != get_preset().name:
+            raise ReproError(
+                f"ServiceConfig(preset={wanted!r}) but the active preset is "
+                f"{get_preset().name!r}; the preset is process-wide, so call "
+                f"repro.config.set_preset({wanted!r}) before "
+                "creating the service"
+            )
         self.device = device
         self.settings = settings
         self.hyperparameters = hyperparameters
         self.default_strategy = default_strategy
         self.max_block_width = max_block_width
         self.cache = (
-            PersistentPulseCache(self.config.cache_dir)
+            PersistentPulseCache(
+                self.config.cache_dir,
+                shards=self.config.cache_shards,
+                budget_mb=self.config.cache_budget_mb,
+                prefetch=self.config.prefetch,
+            )
             if self.config.cache_dir
             else PulseCache()
         )

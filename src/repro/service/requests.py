@@ -48,8 +48,8 @@ class CompileRequest:
         ``use_cache=False``.
     options:
         Strategy-specific extras (e.g. ``tuning_samples``,
-        ``learning_rates``, ``tuning_strategy``, ``probe_executor`` for
-        flexible partial compilation; ``pass_manager`` for gate-based;
+        ``learning_rates``, ``tuning_strategy`` for flexible partial
+        compilation; ``pass_manager`` for gate-based;
         ``table`` for step-function).  Unknown keys raise at compile time.
     """
 

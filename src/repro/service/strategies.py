@@ -280,7 +280,6 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             "decay_rates",
             "seed",
             "tuning_strategy",
-            "probe_executor",
         }
     )
 
@@ -301,6 +300,5 @@ class FlexiblePartialStrategy(_PartialStrategyBase):
             seed=request.option("seed", 11),
             tuning_strategy=request.option("tuning_strategy", "grid"),
             executor=service.executor,
-            probe_executor=request.option("probe_executor"),
             state=service.scheduler_state if request.use_cache else None,
         )[0]

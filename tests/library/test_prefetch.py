@@ -41,15 +41,17 @@ class TestPrefetch:
         assert stats["prefetches"] == 0
         assert stats["prefetch_hits"] == 0
 
-    def test_config_knob_enables_prefetch(self, tmp_path):
-        from repro.config import set_pipeline_config
+    def test_config_knob_enables_prefetch(self, tmp_path, monkeypatch):
+        """``REPRO_PREFETCH`` (resolved at import) is the default when the
+        argument is left ``None``; an explicit argument wins."""
+        import repro.config
+        from repro.service import ServiceConfig
 
-        set_pipeline_config(prefetch=True)
-        try:
-            library = PulseLibrary(tmp_path)
-            assert library.prefetch_enabled is True
-        finally:
-            set_pipeline_config(prefetch=False)
+        monkeypatch.setattr(
+            repro.config, "_env_config", ServiceConfig(prefetch=True)
+        )
+        assert PulseLibrary(tmp_path).prefetch_enabled is True
+        assert PulseLibrary(tmp_path, prefetch=False).prefetch_enabled is False
 
     def test_miss_in_prefetched_shard_still_misses(self, tmp_path):
         _seeded_library(tmp_path)

@@ -34,20 +34,6 @@ class TestScanBlockSize:
         assert scan_block_size(64) == 8
         assert scan_block_size(MIN_BLOCKED_STEPS) >= 2
 
-    def test_configured_override_wins(self):
-        from repro.config import set_pipeline_config
-
-        try:
-            set_pipeline_config(scan_block=32)
-            assert scan_block_size(100) == 32
-            # Capped at the scan length, and applied even below the
-            # blocked-scan threshold.
-            assert scan_block_size(8) == 8
-            set_pipeline_config(scan_block=1)
-            assert scan_block_size(100) == 1
-        finally:
-            set_pipeline_config(scan_block=None)
-        assert scan_block_size(100) == 10  # heuristic restored
 
 
 class TestForwardScan:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.config import set_pipeline_config
 from repro.core import FullGrapeCompiler, PulseCache
 from repro.errors import PipelineError
 from repro.pipeline import (
@@ -69,17 +68,20 @@ class TestResolveExecutor:
         with pytest.raises(PipelineError):
             resolve_executor("gpu")
 
-    def test_default_follows_config(self):
-        original = set_pipeline_config()
-        try:
-            set_pipeline_config(executor="thread", max_workers=2)
-            resolved = resolve_executor(None)
-            assert isinstance(resolved, ThreadPoolBlockExecutor)
-            assert resolved.max_workers == 2
-        finally:
-            set_pipeline_config(
-                executor=original.executor, max_workers=original.max_workers
-            )
+    def test_default_follows_config(self, monkeypatch):
+        """``None`` resolves to the environment's executor and workers."""
+        import repro.config
+        from repro.service.config import ServiceConfig
+
+        monkeypatch.setattr(
+            repro.config,
+            "_env_config",
+            ServiceConfig(executor="thread", max_workers=2),
+        )
+        resolved = resolve_executor(None)
+        assert isinstance(resolved, ThreadPoolBlockExecutor)
+        assert resolved.max_workers == 2
+        assert ThreadPoolBlockExecutor().max_workers == 2
 
     def test_explicit_workers_override(self):
         assert ThreadPoolBlockExecutor(max_workers=5).max_workers == 5
@@ -97,11 +99,10 @@ class TestAutoExecutor:
         assert executor.name == "auto"
 
     def test_auto_is_a_registered_choice_and_the_default(self):
-        from repro.config import EXECUTOR_CHOICES, PipelineConfig
+        from repro.config import EXECUTOR_CHOICES
         from repro.service.config import ServiceConfig
 
         assert "auto" in EXECUTOR_CHOICES
-        assert PipelineConfig().executor == "auto"
         assert ServiceConfig().executor == "auto"
 
     def test_policy_flags_follow_cpu_count(self, monkeypatch):
@@ -111,13 +112,11 @@ class TestAutoExecutor:
         small = executors_module.AutoExecutor()
         assert small.prefers_inline is True
         assert small.prefers_batched is True
-        assert small.speculation_helps is False
 
         _pin_cpus(monkeypatch, 8)
         large = executors_module.AutoExecutor()
         assert large.prefers_inline is False
         assert large.prefers_batched is False
-        assert large.speculation_helps is True
 
     def test_inline_mode_runs_in_calling_thread(self, monkeypatch):
         import threading
@@ -163,7 +162,6 @@ class TestAutoExecutor:
         pool = PersistentThreadPoolBlockExecutor(max_workers=2)
         try:
             assert pool.prefers_batched is False
-            assert pool.speculation_helps is True
         finally:
             pool.close()
 

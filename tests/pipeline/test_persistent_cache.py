@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.config import set_pipeline_config
 from repro.core.cache import (
     CACHE_SCHEMA_VERSION,
     CacheEntry,
@@ -197,17 +196,19 @@ class TestTelemetry:
         assert stats["backend"] == "memory"
         assert "disk_hits" not in stats
 
-    def test_default_cache_follows_config(self, tmp_path):
-        original = set_pipeline_config()
-        try:
-            set_pipeline_config(cache_dir=str(tmp_path))
-            cache = default_pulse_cache()
-            assert isinstance(cache, PersistentPulseCache)
-            assert cache.directory == tmp_path
-            set_pipeline_config(cache_dir=None)
-            assert not isinstance(default_pulse_cache(), PersistentPulseCache)
-        finally:
-            set_pipeline_config(cache_dir=original.cache_dir)
+    def test_default_cache_follows_config(self, tmp_path, monkeypatch):
+        """``REPRO_CACHE_DIR`` (resolved at import) picks the backend."""
+        import repro.config
+        from repro.service import ServiceConfig
+
+        monkeypatch.setattr(
+            repro.config, "_env_config", ServiceConfig(cache_dir=str(tmp_path))
+        )
+        cache = default_pulse_cache()
+        assert isinstance(cache, PersistentPulseCache)
+        assert cache.directory == tmp_path
+        monkeypatch.setattr(repro.config, "_env_config", ServiceConfig())
+        assert not isinstance(default_pulse_cache(), PersistentPulseCache)
 
 
 @pytest.mark.slow

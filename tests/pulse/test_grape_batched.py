@@ -301,8 +301,23 @@ class TestBatchTelemetry:
         assert after["groups"] > before["groups"]
         assert after["batched_blocks"] >= before["batched_blocks"] + 3
         assert after["stacked_calls"] > before["stacked_calls"]
-        assert after["blocks_per_group"] is not None
-        assert after["gemm_matrices"] is not None
+        # Both are counts, reported as a total and a mean (not seconds).
+        per_group = after["blocks_per_group"]
+        assert set(per_group) == {"total", "mean"}
+        assert per_group["total"] == after["batched_blocks"] + after["singleton_probes"]
+        assert per_group["mean"] == pytest.approx(
+            per_group["total"] / (after["groups"] + after["singleton_probes"]),
+            abs=1e-6,
+        )
+        assert per_group["mean"] >= 1.0
+        gemm = after["gemm_matrices"]
+        assert set(gemm) == {"total", "mean"}
+        assert gemm["total"] > before["gemm_matrices"]["total"]
+        # Three 1-qubit blocks of at least one step share each stacked call.
+        assert gemm["mean"] >= 1.0
+        assert gemm["mean"] == pytest.approx(
+            gemm["total"] / after["stacked_calls"], abs=1e-6
+        )
         assert set(after) == {
             "groups",
             "batched_blocks",

@@ -121,7 +121,7 @@ class TestRequestCodec:
 
     def test_unwirable_options_rejected(self, make_request):
         payload = encode_request(make_request("gate"))
-        payload["options"] = {"probe_executor": "serial"}
+        payload["options"] = {"pass_manager": "default"}
         with pytest.raises(WireError, match="live object"):
             decode_request(payload)
 

@@ -270,3 +270,40 @@ class TestLifecycle:
             compiled = service.compile_parametrized(circuit, theta)
         assert compiled.method == "gate"
         assert compiled.pulse_duration_ns > 0
+
+
+class TestConfigTakesEffect:
+    """Every field a service is given reaches the component it configures,
+    whatever the process environment says."""
+
+    def test_cache_fields_reach_the_library(self, tmp_path):
+        from repro.service import ServiceConfig
+
+        config = ServiceConfig(
+            cache_dir=str(tmp_path),
+            cache_shards=256,
+            prefetch=True,
+            cache_budget_mb=5.0,
+        )
+        with CompilationService(config) as service:
+            library = service.cache.library
+            assert library.shards == 256
+            assert library.prefetch_enabled is True
+            assert library.budget_mb == 5.0
+            assert service.stats()["config"]["cache_shards"] == library.shards
+
+    def test_preset_must_match_the_active_one(self):
+        from repro.config import get_preset, set_preset
+        from repro.service import ServiceConfig
+
+        active = get_preset().name
+        other = "paper" if active != "paper" else "ci"
+        with pytest.raises(ReproError, match="set_preset"):
+            CompilationService(ServiceConfig(preset=other))
+        CompilationService(ServiceConfig(preset=active)).close()
+        CompilationService(ServiceConfig(preset=None)).close()
+        try:
+            set_preset(other)
+            CompilationService(ServiceConfig(preset=other)).close()
+        finally:
+            set_preset(active)

@@ -13,6 +13,32 @@ SRC_MODULES = sorted((REPO / "src").rglob("*.py"))
 ENV_READER = REPO / "src" / "repro" / "service" / "config.py"
 
 
+#: One unusable value per knob that validates its input.
+GARBAGE_ENV = {
+    "REPRO_EXECUTOR": "quantum-annealer",
+    "REPRO_MAX_WORKERS": "-2",
+    "REPRO_SUBMIT_WORKERS": "zero",
+    "REPRO_CACHE_SHARDS": "7",
+    "REPRO_CACHE_BUDGET_MB": "lots",
+    "REPRO_PREFETCH": "maybe",
+    "REPRO_GRAPE_BATCH": "sometimes",
+    "REPRO_GRAPE_BATCH_SIZE": "0",
+    "REPRO_WARM_START": "perhaps",
+    "REPRO_WARM_START_MAX_DIST": "2.0",
+    "REPRO_DISPATCHER": "carrier-pigeon",
+    "REPRO_FLEET_WORKERS": "-1",
+    "REPRO_QUEUE_DEPTH": "0",
+    "REPRO_FLEET_LEASE_TTL": "-3",
+    "REPRO_FLEET_HEARTBEAT": "soon",
+    "REPRO_FLEET_AUTOSCALE": "sometimes",
+    "REPRO_FLEET_MIN_WORKERS": "-1",
+    "REPRO_FLEET_MAX_WORKERS": "0",
+    "REPRO_SERVER_PORT": "70000",
+    "REPRO_SERVER_MAX_BODY_MB": "huge",
+    "REPRO_SERVER_TICKET_TTL": "0",
+}
+
+
 class TestEnvConsolidation:
     """Acceptance criterion: every REPRO_* env read routes through
     ``ServiceConfig.from_env()`` — grep-enforced."""
@@ -46,7 +72,6 @@ class TestEnvConsolidation:
             "REPRO_GRAPE_BATCH_SIZE",
             "REPRO_WARM_START",
             "REPRO_WARM_START_MAX_DIST",
-            "REPRO_SCAN_BLOCK",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
             "REPRO_FLEET_WORKERS",
@@ -80,7 +105,6 @@ class TestFromEnv:
             "REPRO_GRAPE_BATCH_SIZE",
             "REPRO_WARM_START",
             "REPRO_WARM_START_MAX_DIST",
-            "REPRO_SCAN_BLOCK",
             "REPRO_DISPATCHER",
             "REPRO_FLEET_DIR",
             "REPRO_FLEET_WORKERS",
@@ -114,7 +138,6 @@ class TestFromEnv:
         monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "8")
         monkeypatch.setenv("REPRO_WARM_START", "no")
         monkeypatch.setenv("REPRO_WARM_START_MAX_DIST", "0.4")
-        monkeypatch.setenv("REPRO_SCAN_BLOCK", "32")
         monkeypatch.setenv("REPRO_DISPATCHER", "queue")
         monkeypatch.setenv("REPRO_FLEET_DIR", "/tmp/fleet")
         monkeypatch.setenv("REPRO_FLEET_WORKERS", "2")
@@ -142,7 +165,6 @@ class TestFromEnv:
         assert config.grape_batch_size == 8
         assert config.warm_start is False
         assert config.warm_start_max_dist == 0.4
-        assert config.scan_block == 32
         assert config.dispatcher == "queue"
         assert config.fleet_dir == "/tmp/fleet"
         assert config.fleet_workers == 2
@@ -159,32 +181,20 @@ class TestFromEnv:
         assert set(sources.values()) == {"env"}
 
     def test_garbage_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "quantum-annealer")
-        monkeypatch.setenv("REPRO_MAX_WORKERS", "-2")
-        monkeypatch.setenv("REPRO_SUBMIT_WORKERS", "zero")
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "lots")
-        monkeypatch.setenv("REPRO_PREFETCH", "maybe")
-        monkeypatch.setenv("REPRO_GRAPE_BATCH", "sometimes")
-        monkeypatch.setenv("REPRO_GRAPE_BATCH_SIZE", "0")
-        monkeypatch.setenv("REPRO_WARM_START", "perhaps")
-        monkeypatch.setenv("REPRO_WARM_START_MAX_DIST", "2.0")
-        monkeypatch.setenv("REPRO_SCAN_BLOCK", "none")
-        monkeypatch.setenv("REPRO_DISPATCHER", "carrier-pigeon")
-        monkeypatch.setenv("REPRO_FLEET_WORKERS", "-1")
-        monkeypatch.setenv("REPRO_QUEUE_DEPTH", "0")
-        monkeypatch.setenv("REPRO_FLEET_LEASE_TTL", "-3")
-        monkeypatch.setenv("REPRO_FLEET_HEARTBEAT", "soon")
-        monkeypatch.setenv("REPRO_FLEET_AUTOSCALE", "sometimes")
-        monkeypatch.setenv("REPRO_FLEET_MIN_WORKERS", "-1")
-        monkeypatch.setenv("REPRO_FLEET_MAX_WORKERS", "0")
-        monkeypatch.setenv("REPRO_SERVER_PORT", "70000")
-        monkeypatch.setenv("REPRO_SERVER_MAX_BODY_MB", "huge")
-        monkeypatch.setenv("REPRO_SERVER_TICKET_TTL", "0")
+        for name, raw in GARBAGE_ENV.items():
+            monkeypatch.setenv(name, raw)
         with pytest.warns(UserWarning):
             config, sources = ServiceConfig.from_env_with_sources()
         assert config == ServiceConfig()
         assert set(sources.values()) == {"default"}
+
+    @pytest.mark.parametrize("name", sorted(GARBAGE_ENV))
+    def test_each_bad_value_warns_by_name(self, monkeypatch, name):
+        """Every knob rejects its own bad value loudly, not silently."""
+        monkeypatch.setenv(name, GARBAGE_ENV[name])
+        with pytest.warns(UserWarning, match=name):
+            config = ServiceConfig.from_env()
+        assert config == ServiceConfig()
 
 
 class TestValidation:
@@ -239,9 +249,12 @@ class TestValidation:
         with pytest.raises(ReproError):
             ServiceConfig(warm_start_max_dist=1.5)
 
-    def test_bad_scan_block_rejected(self):
-        with pytest.raises(ReproError):
-            ServiceConfig(scan_block=0)
+    def test_cache_defaults(self):
+        config = ServiceConfig()
+        assert config.cache_shards == 16
+        assert config.cache_budget_mb is None
+        assert config.prefetch is False
+        assert config.preset is None
 
     def test_choices_match_config_module(self):
         from repro import config as legacy
@@ -338,14 +351,53 @@ class TestUtilities:
             ServiceConfig().executor = "thread"
 
 
-class TestLegacyWrappers:
-    def test_pipeline_config_from_env_routes_through_service_config(
-        self, monkeypatch
-    ):
-        from repro.config import _pipeline_config_from_env
+class TestEnvCacheKnobs:
+    """The pulse-library knobs read from the environment: valid values,
+    tolerated garbage, and every accepted boolean spelling."""
 
+    def test_env_accepts_valid_values(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXECUTOR", "thread")
         monkeypatch.setenv("REPRO_CACHE_SHARDS", "4096")
-        config = _pipeline_config_from_env()
+        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
+        config = ServiceConfig.from_env()
         assert config.executor == "thread"
         assert config.cache_shards == 4096
+        assert config.cache_budget_mb == 32.5
+
+    def test_env_garbage_warns_and_keeps_defaults(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
+        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "not-a-number")
+        monkeypatch.setenv("REPRO_PREFETCH", "maybe")
+        with pytest.warns(UserWarning) as record:
+            config = ServiceConfig.from_env()
+        messages = " ".join(str(w.message) for w in record)
+        for name in ("REPRO_CACHE_SHARDS", "REPRO_CACHE_BUDGET_MB", "REPRO_PREFETCH"):
+            assert name in messages
+        assert config.cache_shards == 16
+        assert config.cache_budget_mb is None
+        assert config.prefetch is False
+
+    @pytest.mark.parametrize(
+        "raw,expected",
+        [
+            ("1", True), ("true", True), ("ON", True), ("yes", True),
+            ("0", False), ("off", False), ("No", False), ("false", False),
+        ],
+    )
+    def test_prefetch_spellings(self, monkeypatch, raw, expected):
+        monkeypatch.setenv("REPRO_PREFETCH", raw)
+        assert ServiceConfig.from_env().prefetch is expected
+
+    def test_preset_only_set_by_env(self, monkeypatch):
+        monkeypatch.delenv("REPRO_PRESET", raising=False)
+        assert ServiceConfig.from_env().preset is None
+        monkeypatch.setenv("REPRO_PRESET", "paper")
+        assert ServiceConfig.from_env().preset == "paper"
+
+    def test_replace_keeps_unpassed_fields(self):
+        original = ServiceConfig(executor="thread", prefetch=True)
+        updated = original.replace(cache_shards=256, cache_budget_mb=64.0)
+        assert updated.cache_shards == 256
+        assert updated.cache_budget_mb == 64.0
+        assert updated.executor == "thread"
+        assert updated.prefetch is True

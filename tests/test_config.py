@@ -35,98 +35,6 @@ class TestPresets:
             set_preset(original)
 
 
-class TestPipelineCacheConfig:
-    def test_defaults(self):
-        from repro.config import PipelineConfig
-
-        config = PipelineConfig()
-        assert config.cache_shards == 16
-        assert config.cache_budget_mb is None
-
-    def test_invalid_shard_count_rejected(self):
-        from repro.config import PipelineConfig
-
-        with pytest.raises(ReproError):
-            PipelineConfig(cache_shards=100)
-
-    def test_nonpositive_budget_rejected(self):
-        from repro.config import PipelineConfig
-
-        with pytest.raises(ReproError):
-            PipelineConfig(cache_budget_mb=0)
-
-    def test_set_pipeline_config_roundtrip(self):
-        from repro.config import get_pipeline_config, set_pipeline_config
-
-        original = get_pipeline_config()
-        try:
-            updated = set_pipeline_config(cache_shards=256, cache_budget_mb=64.0)
-            assert updated.cache_shards == 256
-            assert updated.cache_budget_mb == 64.0
-            # Unpassed fields keep their values.
-            assert updated.executor == original.executor
-        finally:
-            set_pipeline_config(
-                cache_shards=original.cache_shards,
-                cache_budget_mb=original.cache_budget_mb,
-            )
-
-    def test_env_parsing_tolerates_garbage(self, monkeypatch):
-        from repro.config import _pipeline_config_from_env
-
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "7")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "not-a-number")
-        with pytest.warns(UserWarning):
-            config = _pipeline_config_from_env()
-        assert config.cache_shards == 16
-        assert config.cache_budget_mb is None
-
-    def test_env_parsing_accepts_valid_values(self, monkeypatch):
-        from repro.config import _pipeline_config_from_env
-
-        monkeypatch.setenv("REPRO_CACHE_SHARDS", "256")
-        monkeypatch.setenv("REPRO_CACHE_BUDGET_MB", "32.5")
-        config = _pipeline_config_from_env()
-        assert config.cache_shards == 256
-        assert config.cache_budget_mb == 32.5
-
-    def test_prefetch_defaults_off(self):
-        from repro.config import PipelineConfig
-
-        assert PipelineConfig().prefetch is False
-
-    @pytest.mark.parametrize(
-        "raw,expected",
-        [("1", True), ("true", True), ("ON", True), ("0", False), ("off", False)],
-    )
-    def test_prefetch_env_parsing(self, monkeypatch, raw, expected):
-        from repro.config import _pipeline_config_from_env
-
-        monkeypatch.setenv("REPRO_PREFETCH", raw)
-        assert _pipeline_config_from_env().prefetch is expected
-
-    def test_prefetch_env_garbage_warns_and_defaults_off(self, monkeypatch):
-        from repro.config import _pipeline_config_from_env
-
-        monkeypatch.setenv("REPRO_PREFETCH", "maybe")
-        with pytest.warns(UserWarning):
-            config = _pipeline_config_from_env()
-        assert config.prefetch is False
-
-    def test_set_pipeline_config_prefetch_roundtrip(self):
-        from repro.config import get_pipeline_config, set_pipeline_config
-
-        original = get_pipeline_config()
-        try:
-            assert set_pipeline_config(prefetch=True).prefetch is True
-            # Unpassed fields keep their values on the next update.
-            assert set_pipeline_config(cache_shards=256).prefetch is True
-        finally:
-            set_pipeline_config(
-                prefetch=original.prefetch, cache_shards=original.cache_shards
-            )
-
-
 class TestGateDurations:
     def test_table1_values(self):
         assert GATE_DURATIONS_NS["rz"] == 0.4
