@@ -17,7 +17,6 @@ import pytest
 
 import common
 from repro.analysis import format_table
-from repro.core import PulseCache, StrictPartialCompiler
 from repro.core.hyperopt import sample_targets, tune_hyperparameters
 from repro.pulse.grape import (
     GrapeHyperparameters,
@@ -27,6 +26,7 @@ from repro.pulse.grape import (
 )
 from repro.pulse.hamiltonian import build_control_set
 from repro.pulse.device import GmonDevice
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.sim import circuit_unitary
 from repro.transpile import line_topology
 
@@ -70,15 +70,16 @@ def _cache_ablation():
     """Strict LiH precompile with and without the pulse cache."""
     circuit = common.vqe_circuit("LiH")
     device = common.device_for(circuit)
-    cached = StrictPartialCompiler.precompile(
-        circuit, device=device, settings=SETTINGS, hyperparameters=HYPER,
-        max_block_width=2, cache=PulseCache(),
-    )
+    # A fresh in-memory-cache service: every hit comes from this precompile.
+    with CompilationService(
+        ServiceConfig(), device=device, settings=SETTINGS, hyperparameters=HYPER
+    ) as service:
+        report = service.compile(
+            CompileRequest(circuit, strategy="strict-partial", max_block_width=2)
+        ).precompile_report
     # The report already counts cache hits; the ablated cost is estimated
     # exactly: every cache hit would have cost its block's GRAPE iterations.
-    hits = cached.report.cache_hits
-    total_blocks = cached.report.blocks_precompiled
-    return cached.report.grape_iterations, hits, total_blocks
+    return report.grape_iterations, report.cache_hits, report.blocks_precompiled
 
 
 def _hyperparameter_ablation():

@@ -9,9 +9,10 @@ multi-block circuit:
   multi-core host the process pool wins roughly linearly in core count
   (per-block GRAPE is pure CPU); on a single-core CI runner the comparison
   still runs and documents the pool overhead honestly.
-* a cold in-memory cache vs a warm :class:`PersistentPulseCache`
-  directory — the warm pass must do *zero* GRAPE iterations, which is the
-  cross-process reuse the paper's precompilation story rests on.
+* a cold in-memory cache vs a warm persistent pulse-cache directory
+  (``ServiceConfig.cache_dir``) — the warm pass must do *zero* GRAPE
+  iterations, which is the cross-process reuse the paper's precompilation
+  story rests on.
 """
 
 import os
@@ -25,9 +26,9 @@ import pytest
 import common
 from repro.analysis import format_table
 from repro.circuits import QuantumCircuit
-from repro.core import FullGrapeCompiler, PersistentPulseCache, PulseCache
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest, ServiceConfig
 from repro.transpile import line_topology
 
 SETTINGS = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
@@ -51,15 +52,18 @@ def _multi_block_circuit(num_qubits: int) -> QuantumCircuit:
     return circuit
 
 
-def _compiler(executor, cache):
-    return FullGrapeCompiler(
+def _compile(circuit, executor, cache_dir=None):
+    """Full GRAPE on a fresh service: a fresh in-memory cache, or a new
+    cache object over ``cache_dir`` — exactly what a second process sees."""
+    config = ServiceConfig(executor=executor, cache_dir=cache_dir)
+    with CompilationService(
+        config,
         device=GmonDevice(line_topology(NUM_QUBITS)),
         settings=SETTINGS,
         hyperparameters=HYPER,
-        max_block_width=2,
-        cache=cache,
-        executor=executor,
-    )
+    ) as service:
+        request = CompileRequest(circuit, strategy="full-grape", max_block_width=2)
+        return service.compile(request).compiled
 
 
 @pytest.mark.benchmark(group="pipeline-parallel")
@@ -72,7 +76,7 @@ def test_parallel_block_compilation(benchmark, capsys):
         for executor in ("serial", "process"):
             start = time.perf_counter()
             # Fresh in-memory cache per run: every block pays full GRAPE.
-            result = _compiler(executor, PulseCache()).compile(circuit)
+            result = _compile(circuit, executor)
             wall = time.perf_counter() - start
             results[executor] = result
             rows.append(
@@ -118,13 +122,13 @@ def test_persistent_cache_warm_restart(benchmark, capsys):
         rows = []
         # Cold pass: empty directory, every block is a miss that persists.
         start = time.perf_counter()
-        cold = _compiler("serial", PersistentPulseCache(cache_dir)).compile(circuit)
+        cold = _compile(circuit, "serial", cache_dir)
         cold_wall = time.perf_counter() - start
         rows.append(("cold", f"{cold_wall:.2f}", cold.runtime_iterations, cold.cache_hits))
         # Warm pass: a *new* cache object on the same directory — exactly
         # what a second process sees — must be pure disk hits.
         start = time.perf_counter()
-        warm = _compiler("serial", PersistentPulseCache(cache_dir)).compile(circuit)
+        warm = _compile(circuit, "serial", cache_dir)
         warm_wall = time.perf_counter() - start
         rows.append(("warm", f"{warm_wall:.2f}", warm.runtime_iterations, warm.cache_hits))
         return rows, cold, warm

@@ -1,9 +1,12 @@
 """Shared infrastructure for the benchmark harness.
 
-Every table and figure bench pulls its workloads and compilers from here so
-that expensive artifacts (transpiled circuits, precompiled partial
-compilers, GRAPE pulse caches) are computed once per pytest session and
-shared across benches.
+Every table and figure bench pulls its workloads and compile services from
+here so that expensive artifacts (transpiled circuits, precompiled partial
+compilation plans, GRAPE pulse caches) are computed once per pytest session
+and shared across benches.  Compilation goes through
+:class:`repro.service.CompilationService`, one service per bench topology:
+a routed benchmark circuit lives on a ``nearly_square_grid``, which is not
+the grid the service would size by itself (``GmonDevice.grid_for``).
 
 Scope control
 -------------
@@ -21,16 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import (
-    FlexiblePartialCompiler,
-    FullGrapeCompiler,
-    GateBasedCompiler,
-    PulseCache,
-    StrictPartialCompiler,
-)
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.qaoa import maxcut_problem, qaoa_circuit
+from repro.service import CompilationService, CompileRequest
 from repro.transpile import transpile
 from repro.transpile.topology import nearly_square_grid
 from repro.vqe import get_molecule
@@ -83,7 +80,7 @@ PAPER_TABLE3_NS = {
 
 _circuit_cache: dict = {}
 _compiler_cache: dict = {}
-_shared_pulse_cache = PulseCache()
+_services: dict = {}
 
 
 def _routed(circuit):
@@ -126,52 +123,53 @@ def random_parameters(circuit, seed: int = 0):
     return list(rng.uniform(-np.pi / 2, np.pi / 2, size=len(circuit.parameters)))
 
 
-def gate_compiler():
-    return GateBasedCompiler()
+def service_for(circuit) -> CompilationService:
+    """The shared compile service for ``circuit``'s bench topology."""
+    device = device_for(circuit)
+    key = (device.num_qubits, tuple(sorted(device.topology.edges)))
+    if key not in _services:
+        _services[key] = CompilationService(
+            device=device, settings=SETTINGS, hyperparameters=HYPER
+        )
+    return _services[key]
 
 
-def grape_compiler(circuit):
-    return FullGrapeCompiler(
-        device=device_for(circuit),
-        settings=SETTINGS,
-        hyperparameters=HYPER,
-        max_block_width=MAX_BLOCK_WIDTH,
-        cache=_shared_pulse_cache,
+def compile_with(strategy: str, circuit, values=None, **request):
+    """One :class:`~repro.service.CompileResult` from ``circuit``'s service."""
+    return service_for(circuit).compile(
+        CompileRequest(
+            circuit,
+            values,
+            strategy=strategy,
+            max_block_width=MAX_BLOCK_WIDTH,
+            **request,
+        )
     )
 
 
 def strict_compiler(tag: str, circuit):
-    """Precompiled strict compiler for ``circuit`` (cached per tag)."""
+    """Precompiled strict-partial plan for ``circuit`` (cached per tag)."""
     key = ("strict", tag)
     if key not in _compiler_cache:
-        _compiler_cache[key] = StrictPartialCompiler.precompile(
-            circuit,
-            device=device_for(circuit),
-            settings=SETTINGS,
-            hyperparameters=HYPER,
-            max_block_width=MAX_BLOCK_WIDTH,
-            cache=_shared_pulse_cache,
-        )
+        _compiler_cache[key] = compile_with("strict-partial", circuit).compiler
     return _compiler_cache[key]
 
 
 def flexible_compiler(tag: str, circuit, tuning_samples: int = 1):
-    """Precompiled flexible compiler for ``circuit`` (cached per tag)."""
+    """Precompiled flexible-partial plan for ``circuit`` (cached per tag)."""
     key = ("flexible", tag)
     if key not in _compiler_cache:
         grid_lr = (0.01, 0.03, 0.1) if FULL_MODE else (0.03, 0.1)
         grid_decay = (0.0, 0.002, 0.01) if FULL_MODE else (0.0, 0.01)
-        _compiler_cache[key] = FlexiblePartialCompiler.precompile(
+        _compiler_cache[key] = compile_with(
+            "flexible-partial",
             circuit,
-            device=device_for(circuit),
-            settings=SETTINGS,
-            hyperparameters=HYPER,
-            max_block_width=MAX_BLOCK_WIDTH,
-            cache=_shared_pulse_cache,
-            tuning_samples=2 if FULL_MODE else tuning_samples,
-            learning_rates=grid_lr,
-            decay_rates=grid_decay,
-        )
+            options={
+                "tuning_samples": 2 if FULL_MODE else tuning_samples,
+                "learning_rates": grid_lr,
+                "decay_rates": grid_decay,
+            },
+        ).compiler
     return _compiler_cache[key]
 
 
@@ -191,7 +189,7 @@ def durations_for(tag: str, circuit, methods=("gate", "strict", "flexible", "gra
     theta = random_parameters(circuit)
     record = _durations_cache.setdefault(tag, {})
     if "gate" in methods and "gate" not in record:
-        result = gate_compiler().compile_parametrized(circuit, theta)
+        result = compile_with("gate", circuit, theta)
         record["gate"] = result.pulse_duration_ns
         record["gate_latency_s"] = result.runtime_latency_s
     if "strict" in methods and "strict" not in record:
@@ -208,7 +206,8 @@ def durations_for(tag: str, circuit, methods=("gate", "strict", "flexible", "gra
         record["flexible_iterations"] = result.runtime_iterations
         record["flexible_precompute_s"] = compiler.report.wall_time_s
     if "grape" in methods and "grape" not in record:
-        result = grape_compiler(circuit).compile_parametrized(circuit, theta)
+        # Uncached: the paper's out-of-the-box full-GRAPE latency.
+        result = compile_with("full-grape", circuit, theta, use_cache=False)
         record["grape"] = result.pulse_duration_ns
         record["grape_latency_s"] = result.runtime_latency_s
         record["grape_iterations"] = result.runtime_iterations

@@ -25,7 +25,7 @@ itself* are machine-checkable and accumulate over time:
   GRAPE iterations), legacy flat-directory migration (every entry
   preserved bit-identically), sharded lookup throughput at a synthetic
   entry population, and an LRU ``gc`` pass down to a byte budget.
-* ``session`` — a long-lived :class:`repro.pipeline.VariationalSession`
+* ``session`` — one long-lived :class:`repro.service.CompilationService`
   compiling one parametrized ansatz at a stream of random θ draws: the
   cold iteration 0 pays for every block, steady-state iteration k pays
   only for the θ-dependent block (cross-call dedup must make it faster).
@@ -55,7 +55,8 @@ The compile-level benches (``pipeline``, ``cache``) run through
 the numbers track what real callers see.
 
 Every run also *appends* one line to ``results/BENCH_trend.jsonl`` —
-commit, timestamp, and each bench's ``derived`` metrics — so perf
+commit, whether the tree had uncommitted changes to tracked files
+(``dirty``), timestamp, and each bench's ``derived`` metrics — so perf
 trajectories accumulate across commits instead of each run overwriting
 the last snapshot.
 
@@ -453,9 +454,13 @@ def bench_cache(quick: bool) -> dict:
 
 
 def bench_session(quick: bool) -> dict:
-    """Long-lived session: cold iteration 0 vs steady-state iteration k."""
+    """Long-lived service: cold iteration 0 vs steady-state iteration k.
+
+    One :class:`~repro.service.CompilationService` serves the whole
+    variational loop, so its scheduler state, plan cache and pulse cache
+    carry every block compiled at iteration 0 into the later iterations.
+    """
     from repro.circuits.parameters import Parameter
-    from repro.pipeline.session import VariationalSession
 
     settings = GrapeSettings(dt_ns=0.5, target_fidelity=0.95)
     hyper = GrapeHyperparameters(
@@ -478,21 +483,28 @@ def bench_session(quick: bool) -> dict:
     rng = np.random.default_rng(3)
     entries = []
     walls = []
-    session = VariationalSession(
+    dispatched_total = 0
+    reused_total = 0
+    with CompilationService(
+        ServiceConfig.from_env().replace(cache_dir=None),
         device=GmonDevice(line_topology(6)),
         settings=settings,
         hyperparameters=hyper,
         max_block_width=2,
-        cache=PulseCache(),
-    )
-    try:
+    ) as service:
         for k in range(iterations):
             values = [float(rng.uniform(-np.pi / 2, np.pi / 2))]
             start = time.perf_counter()
-            result = session.compile_parametrized(circuit, values)
+            result = service.compile(
+                CompileRequest(
+                    circuit, values, strategy="full-grape", max_block_width=2
+                )
+            )
             wall = time.perf_counter() - start
             walls.append(wall)
             scheduler = result.metadata["scheduler"]
+            dispatched_total += scheduler["dispatched_tasks"]
+            reused_total += scheduler["reused_blocks"]
             entries.append(
                 {
                     "name": f"iteration_{k}",
@@ -507,24 +519,22 @@ def bench_session(quick: bool) -> dict:
                 f"dispatched {scheduler['dispatched_tasks']}, "
                 f"reused {scheduler['reused_blocks']}"
             )
-    finally:
-        session.close()
+        known_blocks = len(service.scheduler_state)
     cold = walls[0]
     steady = min(walls[1:])
-    stats = session.stats()
     derived = {
         "cold_wall_s": round(cold, 4),
         "steady_wall_s": round(steady, 4),
         "steady_state_speedup": round(cold / steady, 3),
-        "dispatched_blocks_total": stats["dispatched_blocks"],
-        "reused_blocks_total": stats["reused_blocks"],
-        "known_blocks": stats["known_blocks"],
+        "dispatched_blocks_total": dispatched_total,
+        "reused_blocks_total": reused_total,
+        "known_blocks": known_blocks,
     }
-    if stats["reused_blocks"] == 0:
-        raise AssertionError("the session recorded no cross-call block reuse")
+    if reused_total == 0:
+        raise AssertionError("the service recorded no cross-call block reuse")
     if steady >= cold:
         raise AssertionError(
-            "steady-state session iteration must beat the cold iteration "
+            "steady-state iteration must beat the cold iteration "
             f"(cold {cold:.3f} s, steady {steady:.3f} s)"
         )
     return {"entries": entries, "derived": derived}
@@ -1341,13 +1351,13 @@ def _host_info() -> dict:
     }
 
 
-def _git_commit() -> str | None:
-    """The current commit hash, or ``None`` outside a usable git checkout."""
+def _git(*args: str) -> str | None:
+    """``git <args>`` output in this checkout, or ``None`` when git fails."""
     import subprocess
 
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             timeout=10,
@@ -1355,7 +1365,19 @@ def _git_commit() -> str | None:
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    return proc.stdout.strip() or None
+    return proc.stdout if proc.returncode == 0 else None
+
+
+def _git_commit() -> str | None:
+    """The current commit hash, or ``None`` outside a usable git checkout."""
+    return (_git("rev-parse", "--short", "HEAD") or "").strip() or None
+
+
+def _git_dirty() -> bool | None:
+    """Whether tracked files differ from the commit (``None`` without git):
+    numbers from a dirty tree do not belong to ``commit``."""
+    out = _git("status", "--porcelain", "--untracked-files=no")
+    return None if out is None else bool(out.strip())
 
 
 def run(names, quick: bool, output_dir: Path) -> list:
@@ -1384,6 +1406,7 @@ def run(names, quick: bool, output_dir: Path) -> list:
     row = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "commit": _git_commit(),
+        "dirty": _git_dirty(),
         "quick": quick,
         "benches": derived_by_bench,
     }

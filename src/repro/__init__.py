@@ -39,7 +39,7 @@ from repro import (
 from repro.config import available_presets, get_preset, set_preset
 from repro.errors import ReproError
 
-__version__ = "1.0.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "ReproError",

@@ -55,7 +55,7 @@ import sys
 import numpy as np
 
 from repro.analysis.tables import format_table
-from repro.config import GATE_DURATIONS_NS
+from repro.config import GATE_DURATIONS_NS, env_config
 
 __all__ = ["build_parser", "main"]
 
@@ -459,7 +459,9 @@ def _cmd_cache_stats(args) -> int:
         rows = _cache_stats_rows(args.dir, stats, size_kib=0.0)
         title = "persistent pulse cache (empty — not created yet)"
     else:
-        cache = PersistentPulseCache(args.dir)
+        cache = PersistentPulseCache(
+            args.dir, budget_mb=env_config().cache_budget_mb
+        )
         rows = _cache_stats_rows(
             cache.directory, cache.stats(), cache.persisted_bytes() / 1024
         )
@@ -481,7 +483,9 @@ def _cmd_library_stats(args) -> int:
         stats = PulseLibrary.empty_stats(args.dir)
         title = "pulse library (empty — not created yet)"
     else:
-        stats = PulseLibrary(args.dir).stats()
+        stats = PulseLibrary(
+            args.dir, budget_mb=env_config().cache_budget_mb
+        ).stats()
         title = "pulse library"
     rows = [(key, stats[key]) for key in sorted(stats)]
     print(format_table(("property", "value"), rows, title=title))
@@ -496,7 +500,8 @@ def _cmd_library_gc(args) -> int:
     if not Path(args.dir).is_dir():
         print(f"error: no library directory at {args.dir}", file=sys.stderr)
         return 2
-    report = PulseLibrary(args.dir).gc(args.budget_mb)
+    library = PulseLibrary(args.dir, budget_mb=env_config().cache_budget_mb)
+    report = library.gc(args.budget_mb)
     rows = [(key, value) for key, value in sorted(report.as_dict().items())]
     print(format_table(("property", "value"), rows, title="pulse library gc"))
     return 0
@@ -810,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="feed this many successive batches through ONE long-lived "
-        "VariationalSession: later rounds reuse every block an earlier "
+        "CompilationService: later rounds reuse every block an earlier "
         "round compiled (cross-call dedup)",
     )
     batch.add_argument("--dt", type=float, default=0.5, help="GRAPE slice (ns)")

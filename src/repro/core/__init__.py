@@ -1,16 +1,18 @@
 """Partial compilation — the paper's contribution.
 
-Four compilers share one interface shape:
+The four compilation modes are implemented here and served through
+:class:`repro.service.CompilationService` (``CompileRequest(strategy=...)``):
 
-* :class:`GateBasedCompiler` — Table-1 lookup + concatenation (baseline).
-* :class:`FullGrapeCompiler` — blocked minimum-time GRAPE (best pulses,
-  untenable latency).
-* :class:`StrictPartialCompiler` — GRAPE-precompiled Fixed blocks, lookup
-  Rz(θ); zero runtime latency (section 6).
-* :class:`FlexiblePartialCompiler` — single-θ slices, precomputed
-  hyperparameters, short tuned GRAPE at runtime (section 7).
+* ``"gate"`` — Table-1 lookup + concatenation (baseline,
+  :mod:`repro.core.gate_based`).
+* ``"full-grape"`` — blocked minimum-time GRAPE over the whole bound
+  circuit (best pulses, untenable latency).
+* ``"strict-partial"`` — GRAPE-precompiled Fixed blocks, lookup Rz(θ);
+  zero runtime latency (section 6, :mod:`repro.core.strict`).
+* ``"flexible-partial"`` — single-θ slices, precomputed hyperparameters,
+  short tuned GRAPE at runtime (section 7, :mod:`repro.core.flexible`).
 
-All four are thin strategy configurations of the shared
+All four are configurations of the shared
 :class:`repro.pipeline.CompilationPipeline`; independent per-block GRAPE
 searches dispatch through its pluggable block executor, and GRAPE results
 land in a :class:`PulseCache` (optionally the on-disk
@@ -25,9 +27,6 @@ from repro.core.cache import (
     unitary_fingerprint,
 )
 from repro.core.compiler import BlockPulseCompiler, default_device_for
-from repro.core.flexible import FlexiblePartialCompiler
-from repro.core.full_grape import FullGrapeCompiler
-from repro.core.gate_based import GateBasedCompiler
 from repro.core.search import (
     SearchSpace,
     random_search,
@@ -57,16 +56,13 @@ from repro.core.slicing import (
 )
 from repro.core.stepfunction import (
     AngleRange,
-    StepFunctionGateCompiler,
     StepFunctionTable,
     default_step_table,
 )
-from repro.core.strict import StrictPartialCompiler
 
 __all__ = [
     "default_step_table",
     "StepFunctionTable",
-    "StepFunctionGateCompiler",
     "AngleRange",
     "tune_with_strategy",
     "successive_halving",
@@ -77,16 +73,12 @@ __all__ = [
     "CACHE_SCHEMA_VERSION",
     "CircuitSlice",
     "CompiledPulse",
-    "FlexiblePartialCompiler",
-    "FullGrapeCompiler",
-    "GateBasedCompiler",
     "HyperparameterTrial",
     "LatencyComparison",
     "PersistentPulseCache",
     "PrecompileReport",
     "PulseCache",
     "default_pulse_cache",
-    "StrictPartialCompiler",
     "TuningResult",
     "default_device_for",
     "flexible_slices",

@@ -508,7 +508,9 @@ def default_pulse_cache() -> PulseCache:
     """
     from repro.config import env_config
 
-    cache_dir = env_config().cache_dir
-    if cache_dir:
-        return PersistentPulseCache(cache_dir)
+    config = env_config()
+    if config.cache_dir:
+        return PersistentPulseCache(
+            config.cache_dir, budget_mb=config.cache_budget_mb
+        )
     return PulseCache()

@@ -17,7 +17,7 @@ this module adds three budget-aware alternatives over the same
   "radial basis functions" method the paper cites).
 
 All three return the same :class:`~repro.core.hyperopt.TuningResult` shape
-as the grid tuner, so :class:`~repro.core.flexible.FlexiblePartialCompiler`
+as the grid tuner, so :class:`~repro.core.flexible._FlexiblePartialCompiler`
 can swap them in via ``tuning_strategy``.
 """
 
@@ -283,7 +283,7 @@ def rbf_search(
     return _finish(objective, trials, budget, start)
 
 
-#: Strategy registry used by ``FlexiblePartialCompiler``.
+#: Strategy registry used by ``_FlexiblePartialCompiler``.
 STRATEGIES = {
     "random": random_search,
     "halving": successive_halving,

@@ -30,7 +30,6 @@ from repro.pipeline.strategies import strict_precompile_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.pulse.schedule import PulseProgram, lookup_schedule
-from repro.service.config import warn_deprecated
 
 
 def _lookup_plan_entry(task: BlockTask) -> tuple:
@@ -59,45 +58,6 @@ class _StrictPartialCompiler:
 
     # -- construction -------------------------------------------------------
     @classmethod
-    def precompile(
-        cls,
-        circuit: QuantumCircuit,
-        device: GmonDevice | None = None,
-        settings: GrapeSettings | None = None,
-        hyperparameters: GrapeHyperparameters | None = None,
-        max_block_width: int | None = None,
-        cache: PulseCache | None = None,
-        executor=None,
-    ) -> "StrictPartialCompiler":
-        """Slice ``circuit`` and GRAPE-precompile every Fixed block.
-
-        This is the pre-computation phase; its cost is recorded in
-        :attr:`report` and is *not* charged to runtime compilation.
-        ``executor`` parallelizes the independent Fixed-block GRAPE
-        searches (name or executor instance; ``None`` = configured default).
-        """
-        device = device or default_device_for(circuit)
-        block_compiler = BlockPulseCompiler(
-            device,
-            settings,
-            hyperparameters,
-            cache if cache is not None else default_pulse_cache(),
-        )
-        # Parametrized gates become isolated singleton blocks; the Fixed
-        # gates between them aggregate into maximal parametrization-
-        # independent subcircuits with per-qubit barriers (the DAG-aware
-        # reading of the paper's Figure 3b, which avoids serializing
-        # unrelated qubits across an Rz(θ)).
-        pipeline = strict_precompile_pipeline(
-            block_compiler, _lookup_plan_entry, max_block_width, executor
-        )
-        start = time.perf_counter()
-        context = pipeline.run(circuit)
-        return cls._from_context(
-            circuit, device, block_compiler, context, time.perf_counter() - start
-        )
-
-    @classmethod
     def precompile_many(
         cls,
         circuits: Sequence[QuantumCircuit],
@@ -117,9 +77,8 @@ class _StrictPartialCompiler:
         ansatz or across ansätze — run GRAPE exactly once.  ``state`` (a
         :class:`~repro.pipeline.scheduler.SchedulerState`) extends the dedup
         across *calls*: pass the same state object to successive
-        ``precompile_many`` invocations (or share it with a
-        :class:`~repro.pipeline.session.VariationalSession`) and later
-        batches pay only for blocks never seen before.
+        ``precompile_many`` invocations (the service passes its long-lived
+        state) and later batches pay only for blocks never seen before.
 
         Returns one compiler per circuit, in order; each report's
         ``wall_time_s`` is the shared batch wall time and its
@@ -137,6 +96,11 @@ class _StrictPartialCompiler:
             hyperparameters,
             cache if cache is not None else default_pulse_cache(),
         )
+        # Parametrized gates become isolated singleton blocks; the Fixed
+        # gates between them aggregate into maximal parametrization-
+        # independent subcircuits with per-qubit barriers (the DAG-aware
+        # reading of the paper's Figure 3b, which avoids serializing
+        # unrelated qubits across an Rz(θ)).
         pipeline = strict_precompile_pipeline(
             block_compiler, _lookup_plan_entry, max_block_width, executor
         )
@@ -163,7 +127,7 @@ class _StrictPartialCompiler:
         context,
         wall_time_s: float,
         extra_metadata: dict | None = None,
-    ) -> "StrictPartialCompiler":
+    ) -> "_StrictPartialCompiler":
         """Fold one precompile pipeline context into a compiler instance."""
         iterations = 0
         blocks_done = 0
@@ -240,20 +204,3 @@ class _StrictPartialCompiler:
                 "program_fallback": used_fallback,
             },
         )
-
-
-class StrictPartialCompiler(_StrictPartialCompiler):
-    """Deprecated constructor shim for the ``"strict-partial"`` strategy.
-
-    The implementation lives in :class:`_StrictPartialCompiler`, which the
-    strategy registry serves as ``"strict-partial"``; this name remains
-    only so pre-service callers keep working.  Each construction — direct
-    or via ``precompile`` / ``precompile_many`` (classmethods construct
-    through ``cls``) — emits one
-    :class:`~repro.service.config.ReproDeprecationWarning`.  Use
-    ``CompilationService.compile(CompileRequest(strategy="strict-partial"))``.
-    """
-
-    def __init__(self, *args, **kwargs):
-        warn_deprecated("StrictPartialCompiler", "strict-partial")
-        super().__init__(*args, **kwargs)

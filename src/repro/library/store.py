@@ -27,8 +27,9 @@ concurrent writers race benignly.  Manifests are an advisory index updated
 under a cross-process :class:`~repro.library.locking.FileLock`; a crash
 between data write and index update leaves an *orphan* that is still
 served by :meth:`get` and adopted by the next :meth:`gc`.  Eviction is
-LRU by the manifest's ``last_used`` stamp against a size budget
-(``REPRO_CACHE_BUDGET_MB``), and only ever happens inside an explicit
+LRU by the manifest's ``last_used`` stamp against a size budget (the
+``budget_mb`` argument; services pass ``ServiceConfig.cache_budget_mb``,
+and the CLI ``REPRO_CACHE_BUDGET_MB``), and only ever happens inside an explicit
 :meth:`gc` call — normal puts never block on collection.
 
 Legacy flat directories (the pre-library ``PersistentPulseCache`` layout:
@@ -80,7 +81,7 @@ VALID_SHARD_COUNTS = CACHE_SHARD_CHOICES
 _STALE_TMP_SECONDS = 60.0
 
 #: Ceiling on the in-memory prefetch buffer.  A library byte budget
-#: (``REPRO_CACHE_BUDGET_MB``) lower than this wins; without one the
+#: (``budget_mb``) lower than this wins; without one the
 #: buffer still cannot grow past this cap — oldest-loaded payloads are
 #: dropped first (they re-read from disk transparently).
 _PREFETCH_BUDGET_MB = 256.0
@@ -147,8 +148,6 @@ class PulseLibrary:
         self.directory.mkdir(parents=True, exist_ok=True)
         from repro.config import env_config
 
-        if budget_mb is None:
-            budget_mb = env_config().cache_budget_mb
         if prefetch is None:
             prefetch = env_config().prefetch
         self.budget_mb = budget_mb
@@ -562,8 +561,8 @@ class PulseLibrary:
     def gc(self, budget_mb: float | None = None) -> GCReport:
         """Reconcile the index and evict LRU entries down to the budget.
 
-        ``budget_mb`` falls back to the library's configured budget
-        (``REPRO_CACHE_BUDGET_MB``); with no budget at all the pass only
+        ``budget_mb`` falls back to the library's own ``budget_mb``
+        (``None`` by default); with no budget at all the pass only
         reconciles manifests and sweeps crash debris.  The whole pass runs
         under the global cross-process lock, so concurrent ``gc`` calls
         serialize; concurrent ``put``/``get`` traffic stays safe because

@@ -25,12 +25,8 @@ transformer framework:
   deduplicates block compilations across a batch of circuits before
   dispatch (N variational circuits sharing blocks compile each block once),
   optionally carrying a persistent :class:`SchedulerState` across calls.
-* :mod:`repro.pipeline.session` — :class:`VariationalSession`, the
-  long-lived streaming mode: one scheduler + executor + open pulse cache
-  shared by every ``compile`` of a variational run, so iteration N+1 pays
-  only for blocks the whole session has never seen.
 * :mod:`repro.pipeline.strategies` — the four declarative pipeline
-  configurations behind ``repro.core``'s compiler classes.
+  configurations behind the service's compilation strategies.
 """
 
 from repro.pipeline.executors import (
@@ -49,7 +45,6 @@ from repro.pipeline.jobs import BlockJob, run_block_job
 from repro.pipeline.pipeline import CompilationPipeline
 from repro.pipeline.plan import CompilationPlan, PlanCache
 from repro.pipeline.scheduler import BlockScheduler, SchedulerReport, SchedulerState
-from repro.pipeline.session import VariationalSession
 from repro.pipeline.stages import (
     AssembleStage,
     BindStage,
@@ -82,7 +77,6 @@ __all__ = [
     "PlanCache",
     "SchedulerReport",
     "SchedulerState",
-    "VariationalSession",
     "GateScheduleStage",
     "PersistentProcessPoolBlockExecutor",
     "PersistentThreadPoolBlockExecutor",

@@ -142,8 +142,6 @@ class _PoolBlockExecutor(BlockExecutor):
     """Shared sizing logic for the pool-backed executors."""
 
     def __init__(self, max_workers: int | None = None):
-        if max_workers is None:
-            max_workers = env_config().max_workers
         self.max_workers = max_workers or usable_cpu_count()
 
     def describe(self) -> dict:
@@ -475,15 +473,21 @@ def resolve_executor(
 
     ``spec`` may be an executor instance (returned as-is), one of the names
     in :data:`repro.config.EXECUTOR_CHOICES`, or ``None`` for the
-    environment's choice (``REPRO_EXECUTOR``, default ``auto``).  The
-    stateless names resolve to fresh instances; the ``*-persistent`` names
-    resolve to one shared instance per (name, worker count) so the pool
-    survives — and amortizes across — repeated ``compile`` calls.
+    environment's choice (``REPRO_EXECUTOR``, default ``auto``, sized by
+    ``REPRO_MAX_WORKERS`` unless ``max_workers`` is given).  A named spec
+    with ``max_workers=None`` gets the built-in default size,
+    :func:`~repro.service.config.usable_cpu_count` (``auto`` grows its
+    grant from demand instead).  The stateless names resolve to fresh
+    instances; the ``*-persistent`` names resolve to one shared instance
+    per (name, worker count) so the pool survives — and amortizes across —
+    repeated ``compile`` calls.
     """
     if isinstance(spec, BlockExecutor):
         return spec
     if spec is None:
         spec = env_config().executor
+        if max_workers is None:
+            max_workers = env_config().max_workers
     if spec == "serial":
         return SerialExecutor()
     if spec == "auto":
@@ -493,13 +497,10 @@ def resolve_executor(
     if spec == "process":
         return ProcessPoolBlockExecutor(max_workers)
     if spec in _PERSISTENT_CLASSES:
-        # Normalize the worker count before keying: ``None`` means "the
-        # environment's/default count", so an explicit request for that
-        # same count aliases the same pool.
-        if max_workers is None:
-            workers = env_config().max_workers or usable_cpu_count()
-        else:
-            workers = max_workers
+        # Normalize the worker count before keying: ``None`` means the
+        # default count, so an explicit request for that same count
+        # aliases the same pool.
+        workers = max_workers or usable_cpu_count()
         key = (spec, workers)
         with _persistent_registry_lock:
             executor = _persistent_executors.get(key)

@@ -122,9 +122,8 @@ class CompilationPipeline:
         ``state`` (a :class:`~repro.pipeline.scheduler.SchedulerState`)
         makes the batch *streaming*: the per-batch scheduler is built
         around the caller's state object, so dedup memory persists across
-        successive ``run_many`` calls sharing that state — this is how
-        :class:`repro.pipeline.session.VariationalSession` and the
-        strategies' ``precompile_many`` reuse blocks across calls.
+        successive ``run_many`` calls sharing that state — this is how the
+        service strategies reuse blocks across calls.
         ``scheduler`` goes further and supplies the whole caller-owned
         :class:`~repro.pipeline.scheduler.BlockScheduler` (``state`` is
         then ignored).

@@ -22,16 +22,15 @@ the *duplicate's* own gate-based duration — preserving the paper's
 strictly-not-worse guarantee blockwise.
 
 Entry points: :meth:`repro.pipeline.pipeline.CompilationPipeline.run_many`
-(stage-level) and :meth:`repro.core.FullGrapeCompiler.compile_many`
-(compiler-level).
+(stage-level), which every GRAPE-using service strategy calls.
 
 A scheduler constructed with a :class:`SchedulerState` additionally
 remembers every representative it has compiled *across* ``run`` calls:
 the next batch fed through the same scheduler pays only for blocks it has
 never seen in the whole run.  This is the streaming/variational mode —
-:class:`repro.pipeline.session.VariationalSession` feeds one long-lived
-scheduler a stream of iterations, so iteration N+1's shared fixed blocks
-cost zero GRAPE dispatches.
+a :class:`repro.service.CompilationService` keeps one state for its whole
+lifetime, so iteration N+1's shared fixed blocks cost zero GRAPE
+dispatches.
 """
 
 from __future__ import annotations

@@ -288,7 +288,7 @@ def _schedule_from_dict(entry: dict) -> PulseSchedule:
 
 
 def assembly_from_strict_plan(compiler) -> PulseAssembly:
-    """Export a :class:`~repro.core.strict.StrictPartialCompiler` plan.
+    """Export a :class:`~repro.core.strict._StrictPartialCompiler` plan.
 
     The strict compiler's plan is exactly an assembly program: Fixed-block
     schedules become (deduplicated) microinstructions, parameter-dependent

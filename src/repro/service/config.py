@@ -52,18 +52,6 @@ CACHE_SHARD_CHOICES = (16, 256, 4096)
 DISPATCHER_CHOICES = ("executor", "queue")
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """Deprecation category for repro's legacy entry-point shims.
-
-    A dedicated subclass so CI can run the suite with
-    ``-W error::DeprecationWarning`` while downgrading exactly the shims'
-    warnings back to non-fatal
-    (``-W default::repro.service.config.ReproDeprecationWarning``), proving
-    the old constructors still work and warn without masking third-party
-    deprecations.
-    """
-
-
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -150,17 +138,6 @@ _ENV_FIELDS = (
     ("REPRO_SERVER_MAX_BODY_MB", "server_max_body_mb", _POSITIVE),
     ("REPRO_SERVER_TICKET_TTL", "server_ticket_ttl_s", _POSITIVE),
 )
-
-
-def warn_deprecated(old: str, strategy: str) -> None:
-    """Emit the one-per-call shim warning pointing at the service facade."""
-    warnings.warn(
-        f"{old} is deprecated; use repro.service.CompilationService."
-        f"compile(CompileRequest(strategy={strategy!r})) — the legacy class "
-        "delegates to the same registered strategy implementation",
-        ReproDeprecationWarning,
-        stacklevel=3,
-    )
 
 
 def usable_cpu_count() -> int:

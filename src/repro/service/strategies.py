@@ -4,16 +4,16 @@ Each strategy adapts one of the paper's compilation modes to the service's
 request/response surface while sharing the service's machinery — one pulse
 cache, one block executor, one cross-call scheduler state — so repeated
 requests reuse each other's work regardless of which thread submitted
-them.  The heavy lifting stays in :mod:`repro.core`: the strategy classes
-here wrap the same implementation classes the deprecated compiler
-constructors delegate to, which is what makes service results bit-identical
-to the legacy API.
+them.  The heavy lifting stays in :mod:`repro.core` (the implementation
+classes) and :mod:`repro.pipeline` (the staged pipelines); each strategy
+is the one code path to its compilation mode.
 """
 
 from __future__ import annotations
 
 import time
 
+from repro.core.results import CompiledPulse
 from repro.errors import ReproError
 from repro.service.registry import CompilationStrategy
 from repro.service.requests import CompileRequest, CompileResult
@@ -85,79 +85,64 @@ class StepFunctionStrategy(_StrategyBase):
         )
 
 
+def result_from_context(
+    context, elapsed: float, cache_stats: dict, extra_metadata: dict
+) -> CompiledPulse:
+    """Fold one full-GRAPE pipeline context into its result record.
+
+    Batch callers pass one ``cache_stats`` snapshot for all their contexts:
+    a disk-backed cache's ``stats()`` sweeps the whole library, which must
+    not repeat per circuit in the per-iteration hot path.
+    """
+    outcomes = context.block_results
+    metadata = {
+        "program_fallback": context.used_fallback,
+        "blocks": context.metadata["blocks"],
+        "grape_blocks": sum(1 for o in outcomes if o.used_grape),
+        "fallback_blocks": sum(
+            1 for o in outcomes if not o.used_grape and o.iterations > 0
+        ),
+        "executor": context.executor_info,
+        "stage_timings": context.stage_timing_dict(),
+        "cache": cache_stats,
+        "plan_cache": context.metadata.get("plan_cache", "miss"),
+        **extra_metadata,
+    }
+    return CompiledPulse(
+        method="grape",
+        program=context.program,
+        pulse_duration_ns=context.program.duration_ns,
+        runtime_latency_s=elapsed,
+        runtime_iterations=sum(o.iterations for o in outcomes),
+        blocks_compiled=len(outcomes),
+        cache_hits=sum(1 for o in outcomes if o.cache_hit),
+        metadata=metadata,
+    )
+
+
 class FullGrapeStrategy(_StrategyBase):
     """Blocked minimum-time GRAPE over the whole bound circuit.
 
     Runs through the service's shared scheduler state (when the request
     allows caching), so a stream of requests — from one thread or many —
     dispatches GRAPE only for blocks the whole service lifetime has never
-    seen: the :class:`~repro.pipeline.session.VariationalSession` behavior,
-    now a service internal.
+    seen.
     """
 
     name = "full-grape"
     allowed_options = frozenset()
 
     def _run(self, service, request):
-        from repro.core.cache import PulseCache
-        from repro.core.compiler import BlockPulseCompiler
-        from repro.core.full_grape import result_from_context
-        from repro.pipeline.strategies import full_grape_pipeline
-
-        # The *symbolic* circuit goes into the pipeline (the bind stage
-        # applies the values): the plan cache keys blocking output on the
-        # ansatz's content fingerprint, so every binding of one ansatz
-        # replays one plan.
-        circuit = request.circuit
-        values = (
-            request.normalized_values() if request.values is not None else None
-        )
-        cache = service.cache if request.use_cache else PulseCache()
-        block_compiler = BlockPulseCompiler(
-            service.device_for(circuit),
-            request.settings or service.settings,
-            request.hyperparameters or service.hyperparameters,
-            cache,
-            warm_start=service.config.warm_start,
-            warm_start_max_dist=service.config.warm_start_max_dist,
-        )
-        pipeline = full_grape_pipeline(
-            block_compiler, request.max_block_width, service.executor
-        )
-        # An uncached request must pay the honest out-of-the-box latency,
-        # so it also skips the cross-call dedup memory and the plan cache.
-        state = service.scheduler_state if request.use_cache else None
-        plan_cache = service.plan_cache if request.use_cache else None
-        start = time.perf_counter()
-        contexts, report = pipeline.run_many(
-            [circuit],
-            [values],
-            state=state,
-            plan_cache=plan_cache,
-            plan_scope=self.name,
-            grape_batch=service.config.grape_batch,
-            grape_batch_size=service.config.grape_batch_size,
-        )
-        elapsed = time.perf_counter() - start
-        extra = {
-            "scheduler": report.as_dict() if report is not None else None,
-            "service": True,
-        }
-        compiled = result_from_context("grape", contexts[0], elapsed, cache, extra)
-        return compiled, None, None
+        return self._compile_many(service, [request], batch=False)[0], None, None
 
     def compile_batch(self, service, requests) -> list:
         """Serve a uniform batch through one scheduler pass.
 
         Blocks shared between the batch's circuits compile once even on a
-        cold cache; every result's ``runtime_latency_s`` is the shared
-        batch wall time, exactly like the legacy ``compile_many``.
+        cold cache.  The batch compiles as one unit, so every result's
+        ``runtime_latency_s`` is the shared batch wall time (also in
+        ``metadata["batch_wall_time_s"]``) — do not sum it across the batch.
         """
-        from repro.core.cache import PulseCache
-        from repro.core.compiler import BlockPulseCompiler
-        from repro.core.full_grape import result_from_context
-        from repro.pipeline.strategies import full_grape_pipeline
-
         first = requests[0]
         for request in requests:
             self._check_options(request)
@@ -172,15 +157,34 @@ class FullGrapeStrategy(_StrategyBase):
                     "max_block_width/use_cache across the batch; mix "
                     "strategies or options via individual compile() calls"
                 )
-        circuits = [request.circuit for request in requests]
-        values = [
-            request.normalized_values() if request.values is not None else None
-            for request in requests
+        compiled = self._compile_many(service, requests, batch=True)
+        return [
+            CompileResult(
+                request=request,
+                strategy=self.name,
+                compiled=pulse,
+                wall_time_s=pulse.runtime_latency_s,
+            )
+            for request, pulse in zip(requests, compiled)
         ]
-        widest = max(circuits, key=lambda c: c.num_qubits)
+
+    def _compile_many(self, service, requests, batch: bool) -> list:
+        """Run ``requests`` (uniform options, see :meth:`compile_batch`)
+        through one full-GRAPE pipeline pass; one result per request."""
+        from repro.core.cache import PulseCache
+        from repro.core.compiler import BlockPulseCompiler
+        from repro.pipeline.strategies import full_grape_pipeline
+
+        first = requests[0]
+        # The *symbolic* circuits go into the pipeline (the bind stage
+        # applies the values): the plan cache keys blocking output on the
+        # ansatz's content fingerprint, so every binding of one ansatz
+        # replays one plan.
+        circuits = [request.circuit for request in requests]
+        values = [request.normalized_values() for request in requests]
         cache = service.cache if first.use_cache else PulseCache()
         block_compiler = BlockPulseCompiler(
-            service.device_for(widest),
+            service.device_for(max(circuits, key=lambda c: c.num_qubits)),
             first.settings or service.settings,
             first.hyperparameters or service.hyperparameters,
             cache,
@@ -190,37 +194,27 @@ class FullGrapeStrategy(_StrategyBase):
         pipeline = full_grape_pipeline(
             block_compiler, first.max_block_width, service.executor
         )
-        state = service.scheduler_state if first.use_cache else None
-        plan_cache = service.plan_cache if first.use_cache else None
+        # An uncached request must pay the honest out-of-the-box latency,
+        # so it also skips the cross-call dedup memory and the plan cache.
         start = time.perf_counter()
         contexts, report = pipeline.run_many(
             circuits,
             values,
-            state=state,
-            plan_cache=plan_cache,
+            state=service.scheduler_state if first.use_cache else None,
+            plan_cache=service.plan_cache if first.use_cache else None,
             plan_scope=self.name,
             grape_batch=service.config.grape_batch,
             grape_batch_size=service.config.grape_batch_size,
         )
         elapsed = time.perf_counter() - start
-        extra = {
-            "scheduler": report.as_dict() if report is not None else None,
-            "batch_wall_time_s": elapsed,
-            "service": True,
-        }
-        # One stats snapshot for the whole batch: a disk-backed cache's
-        # stats() sweeps the library, which must not repeat per circuit.
+        extra = {"scheduler": report.as_dict() if report is not None else None}
+        if batch:
+            extra["batch_wall_time_s"] = elapsed
+        extra["service"] = True
         cache_stats = cache.stats()
         return [
-            CompileResult(
-                request=request,
-                strategy=self.name,
-                compiled=result_from_context(
-                    "grape", context, elapsed, cache, extra, cache_stats
-                ),
-                wall_time_s=elapsed,
-            )
-            for request, context in zip(requests, contexts)
+            result_from_context(context, elapsed, cache_stats, extra)
+            for context in contexts
         ]
 
 

@@ -15,13 +15,10 @@ import pytest
 from repro.circuits.circuit import QuantumCircuit
 from repro.circuits.parameters import Parameter
 from repro.core.compiler import BlockPulseCompiler
-from repro.core.flexible import FlexiblePartialCompiler
-from repro.core.full_grape import FullGrapeCompiler
-from repro.core.gate_based import GateBasedCompiler
-from repro.core.strict import StrictPartialCompiler
 from repro.errors import CompilationError
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+from repro.service import CompilationService, CompileRequest
 from repro.transpile.schedule import asap_schedule
 from repro.transpile.topology import line_topology
 
@@ -48,24 +45,35 @@ def device():
 
 
 @pytest.fixture(scope="module")
-def gate_result(ansatz):
-    return GateBasedCompiler().compile_parametrized(ansatz, THETA)
+def service(device):
+    with CompilationService(
+        device=device, settings=SETTINGS, hyperparameters=HYPER
+    ) as service:
+        yield service
+
+
+def _compile(service, circuit, values=None, strategy="full-grape", **kwargs):
+    return service.compile(
+        CompileRequest(
+            circuit, values, strategy=strategy, max_block_width=2, **kwargs
+        )
+    )
 
 
 @pytest.fixture(scope="module")
-def grape_result(ansatz, device):
-    compiler = FullGrapeCompiler(
-        device=device, settings=SETTINGS, hyperparameters=HYPER, max_block_width=2
-    )
-    return compiler.compile_parametrized(ansatz, THETA)
+def gate_result(ansatz, service):
+    return _compile(service, ansatz, THETA, strategy="gate").compiled
 
 
 @pytest.fixture(scope="module")
-def strict_compiler(ansatz, device):
-    return StrictPartialCompiler.precompile(
-        ansatz, device=device, settings=SETTINGS, hyperparameters=HYPER,
-        max_block_width=2,
-    )
+def grape_result(ansatz, service):
+    # Uncached: the honest out-of-the-box full-GRAPE cost.
+    return _compile(service, ansatz, THETA, use_cache=False).compiled
+
+
+@pytest.fixture(scope="module")
+def strict_compiler(ansatz, service):
+    return _compile(service, ansatz, strategy="strict-partial").compiler
 
 
 class TestGateBased:
@@ -76,9 +84,9 @@ class TestGateBased:
     def test_zero_grape_iterations(self, gate_result):
         assert gate_result.runtime_iterations == 0
 
-    def test_rejects_unbound(self, ansatz):
+    def test_rejects_unbound(self, ansatz, service):
         with pytest.raises(CompilationError):
-            GateBasedCompiler().compile(ansatz)
+            _compile(service, ansatz, strategy="gate")
 
     def test_method_tag(self, gate_result):
         assert gate_result.method == "gate"
@@ -91,17 +99,16 @@ class TestFullGrape:
     def test_runs_grape(self, grape_result):
         assert grape_result.runtime_iterations > 0
 
-    def test_rejects_unbound(self, ansatz, device):
-        compiler = FullGrapeCompiler(device=device, settings=SETTINGS)
+    def test_rejects_unbound(self, ansatz, service):
         with pytest.raises(CompilationError):
-            compiler.compile(ansatz)
+            _compile(service, ansatz)
 
     def test_cache_accelerates_second_compile(self, ansatz, device):
-        compiler = FullGrapeCompiler(
-            device=device, settings=SETTINGS, hyperparameters=HYPER, max_block_width=2
-        )
-        first = compiler.compile(ansatz.bind_parameters(THETA), use_cache=True)
-        second = compiler.compile(ansatz.bind_parameters(THETA), use_cache=True)
+        with CompilationService(
+            device=device, settings=SETTINGS, hyperparameters=HYPER
+        ) as fresh:
+            first = _compile(fresh, ansatz.bind_parameters(THETA)).compiled
+            second = _compile(fresh, ansatz.bind_parameters(THETA)).compiled
         assert second.cache_hits == second.blocks_compiled
         assert second.runtime_iterations == 0
         assert np.isclose(second.pulse_duration_ns, first.pulse_duration_ns)
@@ -144,17 +151,17 @@ class TestStrict:
 
 class TestFlexible:
     @pytest.fixture(scope="class")
-    def flexible_compiler(self, ansatz, device):
-        return FlexiblePartialCompiler.precompile(
+    def flexible_compiler(self, ansatz, service):
+        return _compile(
+            service,
             ansatz,
-            device=device,
-            settings=SETTINGS,
-            hyperparameters=HYPER,
-            max_block_width=2,
-            tuning_samples=2,
-            learning_rates=(0.03, 0.1),
-            decay_rates=(0.0, 0.01),
-        )
+            strategy="flexible-partial",
+            options={
+                "tuning_samples": 2,
+                "learning_rates": (0.03, 0.1),
+                "decay_rates": (0.0, 0.01),
+            },
+        ).compiler
 
     def test_not_worse_than_strict(self, flexible_compiler, strict_compiler):
         flex = flexible_compiler.compile(THETA)

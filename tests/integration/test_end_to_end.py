@@ -4,15 +4,10 @@ import numpy as np
 import pytest
 
 from repro.analysis.speedup import SpeedupRow
-from repro.core import (
-    FlexiblePartialCompiler,
-    FullGrapeCompiler,
-    GateBasedCompiler,
-    StrictPartialCompiler,
-)
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.qaoa import QAOADriver, maxcut_problem, qaoa_circuit
+from repro.service import CompilationService, CompileRequest
 from repro.transpile.passes import transpile
 from repro.transpile.topology import line_topology
 from repro.vqe import VQEDriver, get_molecule, h2_hamiltonian
@@ -44,26 +39,31 @@ class TestCompilationOrdering:
 
     @pytest.fixture(scope="class")
     def durations(self, qaoa_k4, device, theta):
-        gate = GateBasedCompiler().compile_parametrized(qaoa_k4, theta)
-        grape = FullGrapeCompiler(
-            device=device, settings=SETTINGS, hyperparameters=HYPER, max_block_width=3
-        ).compile_parametrized(qaoa_k4, theta)
-        strict = StrictPartialCompiler.precompile(
-            qaoa_k4, device=device, settings=SETTINGS, hyperparameters=HYPER,
-            max_block_width=3,
-        )
-        flexible = FlexiblePartialCompiler.precompile(
-            qaoa_k4, device=device, settings=SETTINGS, hyperparameters=HYPER,
-            max_block_width=3, tuning_samples=1,
-            learning_rates=(0.05,), decay_rates=(0.002,),
-        )
-        return {
-            "gate": gate,
-            "grape": grape,
-            "strict": strict.compile(theta),
-            "flexible": flexible.compile(theta),
-            "grape_obj": grape,
+        flexible_options = {
+            "tuning_samples": 1,
+            "learning_rates": (0.05,),
+            "decay_rates": (0.002,),
         }
+        with CompilationService(
+            device=device, settings=SETTINGS, hyperparameters=HYPER
+        ) as service:
+
+            def compile_with(strategy, **kwargs):
+                return service.compile(
+                    CompileRequest(
+                        qaoa_k4, theta, strategy=strategy, max_block_width=3,
+                        **kwargs,
+                    )
+                ).compiled
+
+            return {
+                "gate": compile_with("gate"),
+                "grape": compile_with("full-grape", use_cache=False),
+                "strict": compile_with("strict-partial"),
+                "flexible": compile_with(
+                    "flexible-partial", options=flexible_options
+                ),
+            }
 
     def test_speedup_ordering(self, durations):
         row = SpeedupRow(
@@ -95,10 +95,14 @@ class TestVariationalLoops:
     def test_vqe_with_strict_compiler_in_loop(self):
         molecule = get_molecule("H2")
         ansatz = transpile(molecule.ansatz())
-        strict = StrictPartialCompiler.precompile(
-            ansatz, device=GmonDevice(line_topology(2)), settings=SETTINGS,
-            hyperparameters=HYPER, max_block_width=2,
-        )
+        with CompilationService(
+            device=GmonDevice(line_topology(2)),
+            settings=SETTINGS,
+            hyperparameters=HYPER,
+        ) as service:
+            strict = service.compile(
+                CompileRequest(ansatz, strategy="strict-partial", max_block_width=2)
+            ).compiler
         driver = VQEDriver(
             h2_hamiltonian(), ansatz, max_iterations=60, seed=3, compiler=strict
         )
@@ -110,9 +114,10 @@ class TestVariationalLoops:
 
     def test_qaoa_with_gate_compiler_in_loop(self):
         problem = maxcut_problem("clique", 4, seed=0)
-        driver = QAOADriver(problem, p=1, max_iterations=60, seed=0,
-                            compiler=GateBasedCompiler())
-        result = driver.run()
+        with CompilationService(default_strategy="gate") as service:
+            driver = QAOADriver(problem, p=1, max_iterations=60, seed=0,
+                                compiler=service)
+            result = driver.run()
         assert result.approximation_ratio > 0.5
 
 

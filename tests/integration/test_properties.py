@@ -205,3 +205,83 @@ def test_measurement_probabilities_normalized(seed, width):
     circuit = _random_circuit(seed, width, 15)
     state = simulate(circuit).data
     assert np.sum(np.abs(state) ** 2) == pytest.approx(1.0, abs=1e-9)
+
+
+# -- the paper's invariant, through the service front door ------------------
+_ANSATZ_GATES = ("h0", "h1", "x0", "rx1", "cx01", "cx10")
+
+
+@pytest.fixture(scope="module")
+def coarse_service():
+    from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
+    from repro.service import CompilationService
+
+    with CompilationService(
+        settings=GrapeSettings(dt_ns=0.5, target_fidelity=0.95),
+        hyperparameters=GrapeHyperparameters(0.05, 0.002, max_iterations=60),
+        max_block_width=2,
+    ) as service:
+        yield service
+
+
+def _ansatz(segments) -> QuantumCircuit:
+    """Fixed-gate segments separated by ``Rz(θ_i)`` gates (one θ per gap)."""
+    circuit = QuantumCircuit(2)
+    for index, segment in enumerate(segments):
+        if index:
+            circuit.rz(Parameter(f"theta_{index - 1}"), index % 2)
+        for name in segment:
+            if name == "cx01":
+                circuit.cx(0, 1)
+            elif name == "cx10":
+                circuit.cx(1, 0)
+            elif name == "rx1":
+                circuit.rx(0.7, 1)
+            else:
+                getattr(circuit, name[0])(int(name[1]))
+    return circuit
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    segments=st.lists(
+        st.lists(st.sampled_from(_ANSATZ_GATES), min_size=1, max_size=3),
+        min_size=2,
+        max_size=3,
+    ),
+    angles=st.lists(
+        st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
+        min_size=2,
+        max_size=2,
+    ),
+)
+def test_pulse_compilation_never_longer_than_gate_based(
+    coarse_service, segments, angles
+):
+    """Paper §5–7: strict, flexible and full-GRAPE pulses are never longer
+    than the gate-based lookup pulse, for any ansatz and any θ."""
+    from repro.service import CompileRequest
+
+    circuit = _ansatz(segments)
+    theta = angles[: len(circuit.parameters)]
+    options = {
+        "flexible-partial": {
+            "tuning_samples": 1,
+            "learning_rates": (0.05,),
+            "decay_rates": (0.002,),
+        }
+    }
+
+    def duration(strategy):
+        request = CompileRequest(
+            circuit,
+            theta,
+            strategy=strategy,
+            max_block_width=2,
+            options=options.get(strategy, {}),
+        )
+        return coarse_service.compile(request).pulse_duration_ns
+
+    gate = duration("gate")
+    for strategy in ("strict-partial", "flexible-partial", "full-grape"):
+        assert duration(strategy) <= gate + 1e-9, strategy

@@ -90,6 +90,7 @@ class TestSessionBench:
         rows = [json.loads(line) for line in trend.read_text().splitlines()]
         assert len(rows) == 1
         assert rows[0]["quick"] is True
+        assert rows[0]["dirty"] in (True, False, None)
         assert "session" in rows[0]["benches"]
         # A second run appends instead of overwriting.
         harness.main(["--quick", "--only", "session", "--output-dir", str(outputs)])

@@ -1,10 +1,13 @@
 """Block-executor contracts: ordering, equivalence, and configuration."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
-from repro.core import FullGrapeCompiler, PulseCache
+from repro.core import PulseCache
+from repro.core.compiler import BlockPulseCompiler
 from repro.errors import PipelineError
 from repro.pipeline import (
     ProcessPoolBlockExecutor,
@@ -12,6 +15,7 @@ from repro.pipeline import (
     ThreadPoolBlockExecutor,
     resolve_executor,
 )
+from repro.pipeline.strategies import full_grape_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
@@ -43,15 +47,19 @@ def _tile_circuit(num_qubits: int = 4) -> QuantumCircuit:
 
 
 def _compile(executor, num_qubits=4):
-    compiler = FullGrapeCompiler(
-        device=GmonDevice(line_topology(num_qubits)),
-        settings=SETTINGS,
-        hyperparameters=HYPER,
-        max_block_width=2,
-        cache=PulseCache(),
-        executor=executor,
+    """One full-GRAPE pipeline run of the tile circuit on ``executor``."""
+    block_compiler = BlockPulseCompiler(
+        GmonDevice(line_topology(num_qubits)), SETTINGS, HYPER, PulseCache()
     )
-    return compiler.compile(_tile_circuit(num_qubits))
+    context = full_grape_pipeline(block_compiler, 2, executor).run(
+        _tile_circuit(num_qubits)
+    )
+    return SimpleNamespace(
+        program=context.program,
+        pulse_duration_ns=context.program.duration_ns,
+        blocks_compiled=len(context.block_results),
+        metadata={"executor": context.executor_info},
+    )
 
 
 class TestResolveExecutor:
@@ -69,9 +77,11 @@ class TestResolveExecutor:
             resolve_executor("gpu")
 
     def test_default_follows_config(self, monkeypatch):
-        """``None`` resolves to the environment's executor and workers."""
+        """``resolve_executor(None)`` takes the environment's executor and
+        workers; a pool built with ``max_workers=None`` does not read the
+        environment — it gets the built-in default."""
         import repro.config
-        from repro.service.config import ServiceConfig
+        from repro.service.config import ServiceConfig, usable_cpu_count
 
         monkeypatch.setattr(
             repro.config,
@@ -81,7 +91,8 @@ class TestResolveExecutor:
         resolved = resolve_executor(None)
         assert isinstance(resolved, ThreadPoolBlockExecutor)
         assert resolved.max_workers == 2
-        assert ThreadPoolBlockExecutor().max_workers == 2
+        assert ThreadPoolBlockExecutor().max_workers == usable_cpu_count()
+        assert resolve_executor("thread").max_workers == usable_cpu_count()
 
     def test_explicit_workers_override(self):
         assert ThreadPoolBlockExecutor(max_workers=5).max_workers == 5
@@ -302,7 +313,7 @@ class TestPartialCompilerExecutors:
 
     def test_strict_precompile_thread_matches_serial(self):
         from repro.circuits.parameters import Parameter
-        from repro.core import StrictPartialCompiler
+        from repro.core.strict import _StrictPartialCompiler
 
         theta = Parameter("theta_0")
         qc = QuantumCircuit(2).h(0).h(1).cx(0, 1)
@@ -311,15 +322,15 @@ class TestPartialCompilerExecutors:
         device = GmonDevice(line_topology(2))
 
         def build(executor):
-            return StrictPartialCompiler.precompile(
-                qc,
+            return _StrictPartialCompiler.precompile_many(
+                [qc],
                 device=device,
                 settings=SETTINGS,
                 hyperparameters=HYPER,
                 max_block_width=2,
                 cache=PulseCache(),
                 executor=executor,
-            )
+            )[0]
 
         serial = build("serial")
         threaded = build(ThreadPoolBlockExecutor(max_workers=2))

@@ -1,19 +1,22 @@
 """Persistent-pool executor contracts: amortization, equivalence, lifecycle."""
 
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.circuits.circuit import QuantumCircuit
 from repro.config import EXECUTOR_CHOICES
-from repro.core import FullGrapeCompiler, PulseCache
+from repro.core import PulseCache
+from repro.core.compiler import BlockPulseCompiler
 from repro.perf import get_perf_registry
 from repro.pipeline import (
     PersistentProcessPoolBlockExecutor,
     PersistentThreadPoolBlockExecutor,
     resolve_executor,
 )
+from repro.pipeline.strategies import full_grape_pipeline
 from repro.pulse.device import GmonDevice
 from repro.pulse.grape.engine import GrapeHyperparameters, GrapeSettings
 from repro.transpile.topology import line_topology
@@ -46,15 +49,19 @@ def _tile_circuit(num_qubits: int = 4) -> QuantumCircuit:
 
 
 def _compile(executor, num_qubits=4):
-    compiler = FullGrapeCompiler(
-        device=GmonDevice(line_topology(num_qubits)),
-        settings=SETTINGS,
-        hyperparameters=HYPER,
-        max_block_width=2,
-        cache=PulseCache(),
-        executor=executor,
+    """One full-GRAPE pipeline run of the tile circuit on ``executor``."""
+    block_compiler = BlockPulseCompiler(
+        GmonDevice(line_topology(num_qubits)), SETTINGS, HYPER, PulseCache()
     )
-    return compiler.compile(_tile_circuit(num_qubits))
+    context = full_grape_pipeline(block_compiler, 2, executor).run(
+        _tile_circuit(num_qubits)
+    )
+    return SimpleNamespace(
+        program=context.program,
+        pulse_duration_ns=context.program.duration_ns,
+        blocks_compiled=len(context.block_results),
+        metadata={"executor": context.executor_info},
+    )
 
 
 class TestResolve:

@@ -401,3 +401,51 @@ class TestEnvCacheKnobs:
         assert updated.cache_budget_mb == 64.0
         assert updated.executor == "thread"
         assert updated.prefetch is True
+
+
+class TestNoneMeansDefault:
+    """Below :mod:`repro.config`, a ``None`` field means the built-in
+    default; only the no-config entry points read the environment."""
+
+    @pytest.fixture
+    def env(self, monkeypatch):
+        import repro.config
+        from repro.service.config import usable_cpu_count
+
+        env = ServiceConfig(
+            max_workers=usable_cpu_count() + 2, cache_budget_mb=7.0
+        )
+        monkeypatch.setattr(repro.config, "_env_config", env)
+        return env
+
+    def test_explicit_config_ignores_env_workers_and_budget(self, env, tmp_path):
+        from repro.service import CompilationService
+        from repro.service.config import usable_cpu_count
+
+        config = ServiceConfig(executor="thread-persistent", cache_dir=str(tmp_path))
+        with CompilationService(config) as service:
+            assert service.executor.max_workers == usable_cpu_count()
+            assert service.cache.library.budget_mb is None
+            assert service.stats()["cache"]["library"]["budget_mb"] is None
+
+    def test_auto_keeps_its_demand_grown_grant(self, env):
+        from repro.service import CompilationService
+
+        with CompilationService(ServiceConfig(executor="auto")) as service:
+            assert service.executor.max_workers is None
+            assert service.executor.granted_workers is None
+
+    def test_no_config_entry_points_read_the_environment(
+        self, env, tmp_path, monkeypatch
+    ):
+        import repro.config
+        from repro.core.cache import default_pulse_cache
+        from repro.pipeline.executors import resolve_executor
+
+        monkeypatch.setattr(
+            repro.config,
+            "_env_config",
+            env.replace(executor="thread", cache_dir=str(tmp_path)),
+        )
+        assert resolve_executor(None).max_workers == env.max_workers
+        assert default_pulse_cache().library.budget_mb == 7.0
