@@ -1381,6 +1381,8 @@ def _git_dirty() -> bool | None:
 
 
 def run(names, quick: bool, output_dir: Path) -> list:
+    # Read the tree state before any artifact below is (re)written.
+    commit, dirty = _git_commit(), _git_dirty()
     output_dir.mkdir(parents=True, exist_ok=True)
     written = []
     derived_by_bench = {}
@@ -1405,8 +1407,8 @@ def run(names, quick: bool, output_dir: Path) -> list:
     trend_path = output_dir / "BENCH_trend.jsonl"
     row = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "commit": _git_commit(),
-        "dirty": _git_dirty(),
+        "commit": commit,
+        "dirty": dirty,
         "quick": quick,
         "benches": derived_by_bench,
     }
